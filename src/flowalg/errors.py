@@ -11,7 +11,9 @@ class InputError(FlowAlgError):
 
 
 class CapacityError(FlowAlgError):
-    """Input exceeds the subset-table ceiling (more than 20 edges)."""
+    """Input exceeds a documented ceiling, checked before the work starts:
+    more than ``MAX_SUBSET_EDGES`` edges for a subset-indexed operation, or
+    more than ``MAX_COSET_REPRESENTATIVES`` coset representatives."""
 
 
 class InfeasibleError(FlowAlgError):
@@ -25,6 +27,10 @@ class CheckError(FlowAlgError):
 
 
 MAX_SUBSET_EDGES = 20
+
+# Above 170,800, the largest product of chord indices over all chord orders
+# of the left Figure 1 graph, so every coset system of the sample graphs fits.
+MAX_COSET_REPRESENTATIVES = 200_000
 
 
 def require_capacity(m: int) -> None:

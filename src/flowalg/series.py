@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import InputError
+from .linalg import _int_range_sq
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,8 @@ def psi_series(alpha, w: int, bound) -> QSeries:
     bound = Fraction(bound)
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
-    # (n + alpha)^2 <= bound / w, solved exactly over the integers
-    a, b = alpha.numerator, alpha.denominator
-    p, q = (bound / w).numerator, (bound / w).denominator
-    s = isqrt(p * b * b // q) + 1
-    lo = -(s + a) // b - 1
-    hi = (s - a) // b + 1
     acc: dict[Fraction, int] = {}
-    for n in range(lo, hi + 1):
+    for n in _int_range_sq(alpha, bound / w):
         e = w * (n + alpha) ** 2
-        if e <= bound:
-            acc[e] = acc.get(e, 0) + 1
+        acc[e] = acc.get(e, 0) + 1
     return QSeries.from_dict(acc, bound)

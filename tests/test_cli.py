@@ -3,6 +3,7 @@ import json
 import pytest
 
 import flowalg.cli as cli
+import flowalg.errors as errors
 from flowalg.cli import main, parse_graph
 from flowalg.errors import InputError
 
@@ -143,6 +144,14 @@ def test_capacity_exit_code(capsys, tmp_path):
     lines += [f"edge {i} 1 2" for i in range(1, 23)]
     path.write_text("\n".join(lines) + "\n")
     code = main(["ranks", str(path), "--oracle", "relations"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["kind"] == "capacity"
+
+
+def test_coset_ceiling_exit_code(capsys, monkeypatch, graph_dir):
+    monkeypatch.setattr(errors, "MAX_COSET_REPRESENTATIVES", 100)
+    code = main(["theta", str(graph_dir / "fig1_right.g"), "--max-norm", "12"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["kind"] == "capacity"

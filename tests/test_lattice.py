@@ -1,8 +1,12 @@
+import importlib
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from flowalg.errors import InputError
+import flowalg.errors as errors
+from flowalg.cli import parse_graph
+from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
                            dipole_graph, path_graph)
 from flowalg.lattice import (characteristic_flow, codichromatic_compare,
@@ -12,6 +16,8 @@ from flowalg.lattice import (characteristic_flow, codichromatic_compare,
 from flowalg.series import QSeries
 
 F = Fraction
+# the package re-exports the function ``lattice`` under the module's name
+lattice_mod = importlib.import_module("flowalg.lattice")
 
 
 def test_characteristic_flow_triangle():
@@ -142,3 +148,59 @@ def test_figure_pair(fig1_left, fig1_right):
     assert flows_of_norm(fig1_left, 7) == 20
     assert flows_of_norm(fig1_right, 7) == 22
     assert rep["theta_first_difference"] is not None
+
+
+def test_coset_system_default_order_is_ascending(fig1_left):
+    left = coset_system(fig1_left)
+    assert left.chords == tuple(sorted(left.chords))
+    assert left.indices == (59, 28, 9, 5, 1)
+    assert len(left.representatives) == 74_340
+    assert coset_system(complete_graph(4)).indices == (2, 3, 1)
+
+
+def test_coset_system_greedy_order(fig1_left, fig1_right):
+    left = coset_system(fig1_left, greedy=True)
+    assert left.chords == (7, 6, 4, 9, 10)
+    assert left.indices == (7, 18, 3, 5, 1)
+    assert prod(left.indices) == len(left.representatives) == 1_890
+    right = coset_system(fig1_right, greedy=True)
+    assert prod(right.indices) == len(right.representatives) == 315
+
+
+def test_theta_routes_agree_on_sample_graphs(graph_dir):
+    paths = sorted(graph_dir.glob("*.g"))
+    assert len(paths) == 6
+    for path in paths:
+        g = parse_graph(str(path))
+        assert theta_product(g, 12) == theta_enumerate(g, 12), path.name
+
+
+def test_theta_routes_agree_on_corpus(corpus5):
+    for g in corpus5:
+        assert theta_product(g, 12) == theta_enumerate(g, 12), g.edges
+
+
+def test_coset_representative_ceiling(monkeypatch, fig1_right):
+    monkeypatch.setattr(errors, "MAX_COSET_REPRESENTATIVES", 100)
+    with pytest.raises(CapacityError):
+        coset_system(fig1_right, greedy=True)
+    with pytest.raises(CapacityError):
+        theta_product(fig1_right, 12)
+    assert len(coset_system(complete_graph(4)).representatives) == 6
+
+
+def test_coset_check_error_names_stage_and_graph(monkeypatch):
+    g = complete_graph(4)
+    monkeypatch.setattr(lattice_mod, "complexity", lambda graph: 1)
+    with pytest.raises(CheckError, match="weight identity") as info:
+        coset_system(g)
+    assert str(list(g.edges)) in str(info.value)
+
+
+def test_theta_check_error_names_stage_and_graph(monkeypatch):
+    g = cycle_graph(3)
+    monkeypatch.setattr(lattice_mod, "psi_series",
+                        lambda alpha, w, bound: QSeries.zero(bound))
+    with pytest.raises(CheckError, match="constant term") as info:
+        theta_product(g, 6)
+    assert str(list(g.edges)) in str(info.value)

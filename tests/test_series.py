@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowalg.errors import InputError
 from flowalg.series import QSeries, psi_series
@@ -22,6 +23,16 @@ def test_psi_integer_alpha_shifts_away():
     for w in (1, 2, 5):
         assert psi_series(3, w, 20) == psi_series(0, w, 20)
         assert psi_series(-2, w, 20) == psi_series(0, w, 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=st.integers(min_value=-40, max_value=40),
+       den=st.integers(min_value=1, max_value=12),
+       w=st.integers(min_value=1, max_value=30),
+       bound=st.integers(min_value=0, max_value=30))
+def test_psi_invariant_under_integer_shift(num, den, w, bound):
+    alpha = F(num, den)
+    assert psi_series(alpha + 1, w, bound) == psi_series(alpha, w, bound)
 
 
 def test_psi_rejects_bad_weight():
