@@ -13,6 +13,7 @@ Coefficients live in Q, Z, or a prime field F_p with p <= 97.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -328,10 +329,15 @@ def monomial_dimensions(g: Graph) -> list[int]:
 
 def subset_masks(m: int, j: int) -> list[int]:
     """All j-element subsets of m positions as bit masks, ascending."""
+    return list(_subset_masks(m, j))
+
+
+@lru_cache(maxsize=64)
+def _subset_masks(m: int, j: int) -> tuple[int, ...]:
     if j < 0 or j > m:
-        return []
+        return ()
     if j == 0:
-        return [0]
+        return (0,)
     masks = []
     v = (1 << j) - 1
     limit = 1 << m
@@ -340,7 +346,7 @@ def subset_masks(m: int, j: int) -> list[int]:
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
-    return masks
+    return tuple(masks)
 
 
 # -- pseudopowers ----------------------------------------------------------

@@ -38,6 +38,16 @@ class Graph:
             if tail not in vset or head not in vset:
                 raise InputError(f"edge {eid} references unknown vertex")
 
+    @classmethod
+    def _derived(cls, vertices: tuple[int, ...],
+                 edges: tuple[Edge, ...]) -> "Graph":
+        """A graph built from a valid one by an operation that keeps it
+        valid (delete, contract, reorient): skips the input checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -100,8 +110,9 @@ class Graph:
 
     def _check_subset(self, sigma: Iterable[int]) -> frozenset[int]:
         sigma = frozenset(sigma)
-        for eid in sigma:
-            self.edge(eid)
+        if not sigma <= self._by_id.keys():
+            for eid in sigma:
+                self.edge(eid)
         return sigma
 
     # -- structure -------------------------------------------------------
@@ -111,15 +122,15 @@ class Graph:
         its component)``.  Loops are irrelevant."""
         return _components(self.vertices, [(t, h) for _, t, h in self.edges])
 
-    @property
+    @cached_property
     def num_components(self) -> int:
         return self.components()[0]
 
     def delete(self, sigma: Iterable[int]) -> "Graph":
         """Remove the edges in sigma; the vertex set is unchanged."""
         sigma = self._check_subset(sigma)
-        return Graph(self.vertices,
-                     tuple(e for e in self.edges if e[0] not in sigma))
+        return Graph._derived(self.vertices,
+                              tuple(e for e in self.edges if e[0] not in sigma))
 
     def contract(self, sigma: Iterable[int]) -> "ContractionImage":
         """Collapse every edge of sigma to a point.
@@ -136,7 +147,8 @@ class Graph:
         new_vertices = tuple(sorted(set(comp.values())))
         new_edges = tuple((eid, comp[t], comp[h])
                           for eid, t, h in self.edges if eid not in sigma)
-        return ContractionImage(Graph(new_vertices, new_edges), comp)
+        return ContractionImage._of(Graph._derived(new_vertices, new_edges),
+                                    comp)
 
     def is_cut_edge(self, eid: int) -> bool:
         """True iff deleting the edge increases the component count.
@@ -144,7 +156,7 @@ class Graph:
         _, tail, head = self.edge(eid)
         if tail == head:
             return False
-        k_before = self.components()[0]
+        k_before = self.num_components
         k_after = _components(
             self.vertices,
             [(t, h) for e, t, h in self.edges if e != eid])[0]
@@ -231,9 +243,10 @@ class Graph:
     def reorient(self, edge_ids: Iterable[int]) -> "Graph":
         """Flip the stored direction of the given edges."""
         flip = self._check_subset(edge_ids)
-        return Graph(self.vertices,
-                     tuple((eid, head, tail) if eid in flip else (eid, tail, head)
-                           for eid, tail, head in self.edges))
+        return Graph._derived(
+            self.vertices,
+            tuple((eid, head, tail) if eid in flip else (eid, tail, head)
+                  for eid, tail, head in self.edges))
 
 
 @dataclass(frozen=True)
@@ -246,29 +259,46 @@ class ContractionImage:
     def __post_init__(self):
         object.__setattr__(self, "vertex_map", dict(self.vertex_map))
 
+    @classmethod
+    def _of(cls, graph: Graph, vertex_map: dict[int, int]
+            ) -> "ContractionImage":
+        """Wrap a quotient map the caller has just built and no one else
+        holds, without copying it."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "graph", graph)
+        object.__setattr__(image, "vertex_map", vertex_map)
+        return image
+
 
 # -- internal helpers ----------------------------------------------------
 
 
 def _components(vertices, pairs):
+    """Union-find that always hangs the larger root under the smaller, so
+    every root is the minimum vertex id of its component."""
     parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for t, h in pairs:
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-    rep: dict[int, int] = {}
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        while parent[h] != h:
+            parent[h] = parent[parent[h]]
+            h = parent[h]
+        if t < h:
+            parent[h] = t
+        elif h < t:
+            parent[t] = h
+    comp = {}
+    count = 0
     for v in vertices:
-        r = find(v)
-        rep[r] = min(rep.get(r, v), v)
-    comp = {v: rep[find(v)] for v in vertices}
-    return len(rep), comp
+        r = parent[v]
+        if r == v:
+            count += 1
+        else:
+            while parent[r] != r:
+                r = parent[r]
+        comp[v] = r
+    return count, comp
 
 
 def _is_maximal_forest(g: Graph, edge_set: frozenset[int]) -> bool:

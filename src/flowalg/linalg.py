@@ -22,7 +22,9 @@ Matrix = list[list[Fraction]]
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices (copy; exact)."""
-    m = [[Fraction(x) for x in row] for row in mat]
+    # Fractions are immutable, so those already given are shared, not rebuilt
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row]
+         for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -32,12 +34,17 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if m[r][c] != 1:
+            inv = 1 / m[r][c]
+            m[r] = [x * inv for x in m[r]]
+        # only the pivot row's nonzero columns change the other rows
+        support = [(k, b) for k, b in enumerate(m[r]) if b]
         for i in range(rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = m[i]
+                for k, b in support:
+                    row[k] -= f * b
         pivots.append(c)
         r += 1
         if r == rows:
@@ -103,9 +110,11 @@ def min_norm_solution(a: Matrix, b: Vector) -> Vector:
     rhs = [red[r][ncols] for r in range(len(pivots))]
     if not rows:
         return [Fraction(0)] * ncols
-    gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in rows] for r1 in rows]
+    zero = Fraction(0)
+    gram = [[sum((x * y for x, y in zip(r1, r2) if x and y), zero)
+             for r2 in rows] for r1 in rows]
     y = solve_square(gram, rhs)
-    return [sum(y[i] * rows[i][c] for i in range(len(rows)))
+    return [sum((y[i] * row[c] for i, row in enumerate(rows) if row[c]), zero)
             for c in range(ncols)]
 
 
@@ -120,7 +129,8 @@ def min_norm_affine(mat: Matrix, fixed: list[tuple[int, Fraction]],
             ncols = max(i for i, _ in fixed) + 1
         else:
             raise InputError("cannot infer dimension")
-    rows = [[Fraction(x) for x in row] for row in mat]
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in mat]
     rhs: Vector = [Fraction(0)] * len(rows)
     for i, v in fixed:
         if not 0 <= i < ncols:
@@ -239,27 +249,31 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
     a = [list(row) for row in mat]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    # the transforms are tracked only when asked for: U alone has nr^2
+    # entries, and relation matrices have far more rows than columns
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else []
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else []
 
     def row_op(i, j, q):  # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        if transforms:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
         for r in range(nr):
             a[r][i] -= q * a[r][j]
-        for r in range(nc):
+        for r in range(len(v)):
             v[r][i] -= q * v[r][j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if transforms:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in range(nr):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(nc):
+        for r in range(len(v)):
             v[r][i], v[r][j] = v[r][j], v[r][i]
 
     t = 0
@@ -272,6 +286,10 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
                 if a[i][j] != 0 and (pivot is None
                                      or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
                     pivot = (i, j)
+                    if abs(a[i][j]) == 1:  # no smaller one exists
+                        break
+            if pivot is not None and abs(a[pivot[0]][pivot[1]]) == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -295,7 +313,7 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
                         dirty = True
         # divisibility: fold in any entry the pivot does not divide
         offender = None
-        for i in range(t + 1, nr):
+        for i in range(t + 1, nr) if abs(a[t][t]) != 1 else ():
             for j in range(t + 1, nc):
                 if a[i][j] % a[t][t] != 0:
                     offender = i
@@ -307,7 +325,8 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            if transforms:
+                u[t] = [-x for x in u[t]]
         t += 1
 
     factors = [a[i][i] for i in range(t) if a[i][i] != 0]

@@ -61,21 +61,23 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
         raise InputError(f"degree {j} out of range 0..{m}")
     basis = tuple(subset_masks(m, j))
     col = {mask: i for i, mask in enumerate(basis)}
+    bit = {eid: 1 << i for i, eid in enumerate(g.edge_ids)}
     rows = []
     labels = []
     for sigma in subset_masks(m, j - 1) if j >= 1 else []:
         image = g.contract(g.ids_of(sigma)).graph
-        incident: dict[int, dict[int, int]] = {v: {} for v in image.vertices}
+        # each surviving edge owns its own column sigma | e, so a row never
+        # gets two entries in one column and every entry is +-1
+        incident: dict[int, list[tuple[int, int]]] = {
+            v: [] for v in image.vertices}
         for eid, tail, head in image.edges:
             if tail == head:
                 continue
-            c = col[sigma | (1 << g.position(eid))]
-            incident[head][c] = incident[head].get(c, 0) + 1
-            incident[tail][c] = incident[tail].get(c, 0) - 1
+            c = col[sigma | bit[eid]]
+            incident[head].append((c, 1))
+            incident[tail].append((c, -1))
         for v in image.vertices:
-            entries = tuple(sorted((c, val) for c, val in incident[v].items()
-                                   if val != 0))
-            rows.append(entries)
+            rows.append(tuple(sorted(incident[v])))
             labels.append((sigma, v))
     return RelationMatrix(j, basis, tuple(rows), tuple(labels))
 

@@ -71,15 +71,27 @@ def clear_cache() -> None:
 def _normal_form(g: Graph) -> tuple:
     """Exact canonical key: drop isolated vertices, relabel the rest by
     ascending original id, sort the undirected edge multiset.  Equal keys
-    imply equal graphs up to relabeling, so a cache hit is always sound."""
+    imply equal graphs up to relabeling, so a cache hit is always sound.
+
+    The key is the number n of vertices kept, then each edge {i, j} with
+    i <= j as the single integer i * n + j: the memo holds one key per graph
+    it has seen, and flat small integers take a fraction of the memory of
+    a tuple of pairs."""
     used = sorted({v for _, t, h in g.edges for v in (t, h)})
+    n = len(used)
     index = {v: i for i, v in enumerate(used)}
-    mult = sorted((min(index[t], index[h]), max(index[t], index[h]))
-                  for _, t, h in g.edges)
-    return tuple(mult)
+    codes = sorted(min(index[t], index[h]) * n + max(index[t], index[h])
+                   for _, t, h in g.edges)
+    return (n, *codes)
 
 
 def _tutte_rec(g: Graph) -> BiPoly:
+    # Equal keys mean isomorphic graphs, so a hit is sound before the pivot
+    # search; only graphs with a pivot are ever stored.
+    key = _normal_form(g)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit
     pivot = None
     for eid, tail, head in sorted(g.edges):
         if tail != head and not g.is_cut_edge(eid):
@@ -90,10 +102,6 @@ def _tutte_rec(g: Graph) -> BiPoly:
         loops = sum(1 for _, t, h in g.edges if t == h)
         bridges = g.num_edges - loops
         return BiPoly({(bridges, loops): 1})
-    key = _normal_form(g)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
     result = _tutte_rec(g.delete([pivot])) + _tutte_rec(g.contract([pivot]).graph)
     _memo[key] = result
     return result
@@ -101,18 +109,40 @@ def _tutte_rec(g: Graph) -> BiPoly:
 
 def tutte_by_subsets(g: Graph) -> BiPoly:
     """Corank-nullity oracle: sum over all edge subsets S of
-    (x-1)^(r(E)-r(S)) (y-1)^(|S|-r(S)) with r(S) = n - c(S)."""
+    (x-1)^(r(E)-r(S)) (y-1)^(|S|-r(S)) with r(S) = n - c(S).
+
+    The subsets are built one edge at a time (left out or put in), and
+    subsets that so far induce the same vertex partition are counted
+    together, by size: the counts sit in one integer, base 2^(m+1), digit s
+    for the subsets of size s (a digit never exceeds 2^m, so adding two such
+    integers never carries and putting an edge in is a shift by one digit).
+    r(S) follows from the partition."""
     n = g.num_vertices
-    edge_pairs = [(t, h) for _, t, h in g.edges]
-    r_full = n - g.num_components
-    acc: dict[tuple[int, int], int] = {}
     m = g.num_edges
-    for mask in range(1 << m):
-        pairs = [edge_pairs[i] for i in range(m) if mask >> i & 1]
-        c_s = _components(g.vertices, pairs)[0]
-        r_s = n - c_s
-        key = (r_full - r_s, len(pairs) - r_s)
-        acc[key] = acc.get(key, 0) + 1
+    index = {v: i for i, v in enumerate(g.vertices)}
+    r_full = n - g.num_components
+    digit = m + 1
+    # component label of each vertex (its least index) -> packed size counts
+    states: dict[tuple[int, ...], int] = {tuple(range(n)): 1}
+    for _, tail, head in g.edges:
+        t, h = index[tail], index[head]
+        nxt: dict[tuple[int, ...], int] = {}
+        for labels, counts in states.items():
+            nxt[labels] = nxt.get(labels, 0) + counts
+            lo, hi = sorted((labels[t], labels[h]))
+            if lo != hi:
+                labels = tuple(lo if x == hi else x for x in labels)
+            nxt[labels] = nxt.get(labels, 0) + (counts << digit)
+        states = nxt
+    acc: dict[tuple[int, int], int] = {}
+    mask = (1 << digit) - 1
+    for labels, counts in states.items():
+        r_s = n - len(set(labels))
+        for size in range(m + 1):
+            cnt = counts >> (size * digit) & mask
+            if cnt:
+                key = (r_full - r_s, size - r_s)
+                acc[key] = acc.get(key, 0) + cnt
     # expand sum of (x-1)^a (y-1)^b monomial by monomial
     out: dict[tuple[int, int], int] = {}
     for (a, b), cnt in acc.items():

@@ -62,3 +62,13 @@ def test_poincare_value_at_one_counts_spanning_subgraphs():
     # total dimension equals T(1, 2)
     for g in [complete_graph(4), cycle_graph(4), bouquet_graph(2)]:
         assert sum(poincare(g)) == tutte(g)(1, 2)
+
+
+def test_subset_oracle_beyond_the_automatic_check():
+    # 13 edges: tutte() no longer cross-checks, so compare here; the
+    # oracle's packed size counts then need 14-bit digits
+    g = build([(i, u, w) for i, (u, w) in enumerate(
+        [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
+         (3, 5), (4, 5), (1, 2), (3, 3), (4, 5)], start=1)])
+    assert g.num_edges == 13
+    assert tutte_by_subsets(g) == tutte(g)
