@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial
 
 from .errors import CapacityError, CheckError, InputError, require_capacity
 from .graph import Graph
@@ -428,7 +428,7 @@ def relation_membership_check(g: Graph) -> dict:
                 break
             np_val = k
             dp = divided_power(theta, k)
-            if dp.scale(_factorial(k)) != power:
+            if dp.scale(factorial(k)) != power:
                 raise CheckError("divided power and repeated product disagree")
             power = power * theta
         vanishes = np_val <= ssize
@@ -448,13 +448,6 @@ def relation_membership_check(g: Graph) -> dict:
         "dimension_certified": cert_ok,
         "passed": all_ok and cert_ok,
     }
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _supports_single_cycle(g: Graph, theta: Circulation) -> bool:

@@ -2,11 +2,12 @@
 runnable per graph and over the whole small-multigraph corpus.
 
 Orientation-invariance trials re-run the full pipeline on re-oriented
-copies.  Rank equality per trial is established by an exact two-sided
-certificate: a mod-p elimination of some of the rebuilt rows bounds the rank
-from below, and explicitly verified integer kernel vectors bound it from
-above, so equality of the two bounds proves the rank exactly; any
-inconclusive certificate falls back to exact elimination.  No floating point
+copies.  Each rebuilt relation matrix is compared with the reference one:
+reversing the edges in a flip set F negates an entry of row (sigma, v) at
+column c exactly when c and sigma differ in an odd number of edges of F, so
+a faithful rebuild equals R M D for +-1 diagonals R and D and has the
+reference rank, which was computed by exact elimination.  A rebuilt matrix
+of any other form is ranked by exact elimination itself.  No floating point
 is involved anywhere.
 """
 
@@ -14,25 +15,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
-import numpy as np
-
-from .circulation import (Circulation, QQ, ZZ, basic_flow_circulations,
-                          divided_power, monomial_dimensions,
-                          relation_membership_check, subset_masks,
-                          verify_inequalities)
+from .circulation import (Circulation, QQ, _poly_mul, basic_flow_circulations,
+                          monomial_dimensions, relation_membership_check,
+                          subset_masks, verify_inequalities)
 from .errors import CheckError, FlowAlgError
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
-from .relations import (integral_circulations, rank_sequence, relation_matrix,
-                        torsion_check)
+from .relations import (RelationMatrix, integral_circulations, rank_sequence,
+                        relation_matrix, torsion_check)
 from .report import CheckReport
-from .tutte import complexity, poincare, tutte
-
-_PRIME = 2_147_483_647
+from .tutte import complexity, poincare
 
 
 def trimmed(seq) -> tuple[int, ...]:
@@ -42,146 +39,36 @@ def trimmed(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- mod-p helpers for the rank certificates --------------------------------
+def _odd(mask: int) -> bool:
+    return mask.bit_count() % 2 == 1
 
 
-def _rank_mod_p(a: np.ndarray, p: int = _PRIME) -> int:
-    """Row-reduction rank over F_p; a lower bound for the rational rank."""
-    return len(_pivot_rows_mod_p(
-        [enumerate(row) for row in np.asarray(a, dtype=np.int64).tolist()], p))
+def _is_signed_copy(rel: RelationMatrix, ref: RelationMatrix,
+                    flip_mask: int) -> bool:
+    """Whether ``rel`` equals R ref D, with R and D the +-1 diagonals of the
+    flip parity of each row's sigma and each column's subset."""
+    if rel.row_labels != ref.row_labels:
+        return False
+    col_odd = [_odd(mask & flip_mask) for mask in ref.basis]
+    for (sigma, _), row, ref_row in zip(ref.row_labels, rel.rows, ref.rows):
+        row_odd = _odd(sigma & flip_mask)
+        if row != tuple((c, -v if col_odd[c] != row_odd else v)
+                        for c, v in ref_row):
+            return False
+    return True
 
 
-def _pivot_rows_mod_p(rows, p: int = _PRIME) -> list[int]:
-    """Indices of the rows that are independent over F_p of the rows before
-    them, for rows given as (column, value) pairs; their number is the rank
-    over F_p.  Each row is reduced by the pivot rows of its leading column
-    until it vanishes or opens a new pivot column; the rows here have few
-    nonzero entries, so this beats dense elimination on matrices of a few
-    hundred rows."""
-    pivots: dict[int, dict[int, int]] = {}
-    independent = []
-    for idx, row in enumerate(rows):
-        x = {c: v % p for c, v in row if v % p}
-        while x:
-            lead = min(x)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(x[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in x.items()}
-                independent.append(idx)
-                break
-            f = x[lead]
-            for c, v in pivot.items():
-                w = (x.get(c, 0) - f * v) % p
-                if w:
-                    x[c] = w
-                else:
-                    x.pop(c, None)
-    return independent
-
-
-def _dense_matrix(rel) -> np.ndarray:
-    m = np.zeros((len(rel.rows), rel.num_columns), dtype=np.int64)
-    for i, row in enumerate(rel.rows):
-        for col, val in row:
-            m[i, col] = val
-    return m
-
-
-def _kernel_vectors_by_degree(g: Graph) -> dict[int, np.ndarray]:
-    """For each degree, d_j independent integer circulation vectors taken
-    from the basic-flow monomial tables (values are all +-1)."""
-    m = g.num_edges
-    flows = basic_flow_circulations(g)
-    chords = sorted(flows)
-    caps = [len(flows[c].table) for c in chords]
-    powers = [[divided_power(flows[c], k) for k in range(caps[i] + 1)]
-              for i, c in enumerate(chords)]
-    out: dict[int, np.ndarray] = {}
-    for j in range(m + 1):
-        masks = subset_masks(m, j)
-        col = {mask: i for i, mask in enumerate(masks)}
-        rows = []
-        for jvec in _compositions(j, caps):
-            prod = Circulation.unit(ZZ)
-            for idx, power in enumerate(jvec):
-                if power:
-                    prod = prod * powers[idx][power]
-            if not prod.is_zero():
-                dense = np.zeros(len(masks), dtype=np.int64)
-                for mask, v in prod.table.items():
-                    dense[col[mask]] = v
-                rows.append(dense)
-        if not rows:
-            out[j] = np.zeros((0, len(masks)), dtype=np.int64)
-            continue
-        stacked = np.stack(rows)
-        # greedy mod-p independent subset
-        keep = _pivot_rows_mod_p([enumerate(r) for r in stacked.tolist()])
-        out[j] = stacked[keep]
-    return out
-
-
-def _compositions(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for head in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - head, caps[1:]):
-            yield (head,) + rest
-
-
-def _reference_pivot_rows(g: Graph) -> dict[int, list[int]]:
-    """For each degree, the indices of rows of the relation matrix of ``g``
-    that are independent over F_p."""
-    return {j: _pivot_rows_mod_p(relation_matrix(g, j).rows)
-            for j in range(g.num_edges + 1)}
-
-
-def _certified_rank_sequence(g2: Graph, expected: tuple[int, ...],
-                             kernels: dict[int, np.ndarray],
-                             flip_mask: int,
-                             pivot_rows: dict[int, list[int]]) -> bool:
-    """Exact check that the re-oriented graph has the expected rank
-    sequence.
-
-    For each degree the relation matrix is rebuilt through the normal
-    pipeline.  Candidate kernel vectors for the flipped graph are the
-    reference ones with coordinates rescaled by the flip parity; they are
-    *verified* exactly (integer matrix product), so the certificate does not
-    depend on how they were obtained.  Likewise the lower bound is the rank
-    over F_p of the rebuilt rows at the reference graph's pivot-row indices:
-    any subset of rows bounds the rank from below, whichever rows are
-    chosen.  rank_p(rows) <= rank_Q(M) and verified kernels give
-    rank_Q(M) <= ncols - d; matching bounds prove equality.  Falls back to
-    exact elimination when inconclusive.
-    """
-    m = g2.num_edges
-    for j in range(m + 1):
+def _same_rank_sequence(g2: Graph, refs: list[RelationMatrix],
+                        ref_d: tuple[int, ...], flip_mask: int) -> bool:
+    """Exact check that the re-oriented graph has the rank sequence
+    ``ref_d``: a signed copy of the reference matrix has its rank, and any
+    other rebuilt matrix is ranked by exact elimination."""
+    for j, ref in enumerate(refs):
         rel = relation_matrix(g2, j)
-        ncols = rel.num_columns
-        target = ncols - expected[j]
-        dense = _dense_matrix(rel)
-        kern = kernels[j]
-        if kern.shape[0]:
-            signs = np.array(
-                [-1 if (mask & flip_mask).bit_count() % 2 else 1
-                 for mask in subset_masks(m, j)], dtype=np.int64)
-            kern = kern * signs
-        certified = False
-        if kern.shape[0] == expected[j]:
-            annihilated = (dense.shape[0] == 0
-                           or not (dense @ kern.T).any())
-            chosen = [rel.rows[i] for i in pivot_rows[j]
-                      if i < len(rel.rows)]
-            if (annihilated and len(_pivot_rows_mod_p(chosen)) == target
-                    and _rank_mod_p(kern) == expected[j]):
-                certified = True
-        if not certified:
-            exact = rank_int_rows(rel.sparse_rows(), ncols)
-            if exact != target:
-                return False
+        if (not _is_signed_copy(rel, ref, flip_mask)
+                and rank_int_rows(rel.sparse_rows(), rel.num_columns)
+                != rel.num_columns - ref_d[j]):
+            return False
     return True
 
 
@@ -228,10 +115,6 @@ _UNION_PARTNERS = [
 ]
 
 
-def _poincare_poly(coeffs) -> tuple[int, ...]:
-    return trimmed(coeffs)
-
-
 def _poly_add(a, b, shift=0):
     out = [0] * max(len(a), len(b) + shift)
     for i, x in enumerate(a):
@@ -241,19 +124,11 @@ def _poly_add(a, b, shift=0):
     return trimmed(out)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return trimmed(out)
-
-
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
                  deep: bool = False) -> CheckReport:
     """Run the full identity and inequality suite on one graph."""
     rep = CheckReport()
-    dp = _poincare_poly(poincare(g))
+    dp = trimmed(poincare(g))
 
     ranks = rank_sequence(g)
     monos = monomial_dimensions(g)
@@ -268,7 +143,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
     ok = True
     for eid in g.edge_ids:
         if g.is_cut_edge(eid):
-            ok = ok and (dp == _poincare_poly(poincare(g.delete([eid]))))
+            ok = ok and (dp == trimmed(poincare(g.delete([eid]))))
         else:
             lhs = dp
             rhs = _poly_add(poincare(g.delete([eid])),
@@ -280,7 +155,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
     new_eid = max(g.edge_ids, default=0) + 1
     for eid, tail, head in g.edges:
         doubled = Graph(g.vertices, g.edges + ((new_eid, tail, head),))
-        lhs = _poincare_poly(poincare(doubled))
+        lhs = trimmed(poincare(doubled))
         contracted = poincare(g.contract([eid]).graph)
         rhs = _poly_add(_poly_add(dp, contracted, shift=1),
                         contracted, shift=2)
@@ -291,10 +166,10 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
     v = min(g.vertices)
     for _, partner in _UNION_PARTNERS:
         glued = one_point_union(g, v, partner, min(partner.vertices))
-        expect = _poly_mul(dp, _poincare_poly(poincare(partner)))
-        ok = ok and (_poincare_poly(poincare(glued)) == expect)
+        expect = trimmed(_poly_mul(dp, trimmed(poincare(partner))))
+        ok = ok and (trimmed(poincare(glued)) == expect)
         apart = disjoint_union(g, partner)
-        ok = ok and (_poincare_poly(poincare(apart)) == expect)
+        ok = ok and (trimmed(poincare(apart)) == expect)
     rep.add("one-point-union", ok)
 
     try:
@@ -384,12 +259,11 @@ def orientation_invariance(g: Graph, trials: int, seed: int = 2024,
     flips, or flips that differ only on loops) is not run again: every
     stage is a deterministic function of the graph, so it would repeat the
     same answer."""
-    ref_p = _poincare_poly(poincare(g))
+    ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref_lat = lattice(g)
     ref_theta = None  # computed only if a sign-equivalence check fails
-    kernels = _kernel_vectors_by_degree(g)
-    pivot_rows = _reference_pivot_rows(g)
+    refs = [relation_matrix(g, j) for j in range(g.num_edges + 1)]
     rng = random.Random(seed)
     ids = list(g.edge_ids)
     checked = set()
@@ -399,10 +273,9 @@ def orientation_invariance(g: Graph, trials: int, seed: int = 2024,
         if g2 in checked:
             continue
         checked.add(g2)
-        if _poincare_poly(poincare(g2)) != ref_p:
+        if trimmed(poincare(g2)) != ref_p:
             return False
-        if not _certified_rank_sequence(g2, ref_d, kernels, g.mask_of(flip),
-                                        pivot_rows):
+        if not _same_rank_sequence(g2, refs, ref_d, g.mask_of(flip)):
             return False
         lat2 = lattice(g2)
         if lat2.determinant != ref_lat.determinant:
@@ -420,7 +293,7 @@ def multiplication_rank_check(g: Graph) -> bool:
     """Rank of multiplication by the staggered-coefficient flow power from
     degree j into the complementary degree equals d_j, for every j up to the
     middle."""
-    d = _poincare_poly(poincare(g))
+    d = trimmed(poincare(g))
     top = len(d) - 1
     m = g.num_edges
     flows = basic_flow_circulations(g, QQ)
@@ -433,7 +306,7 @@ def multiplication_rank_check(g: Graph) -> bool:
         power = Circulation.unit(QQ)
         for _ in range(s):
             power = power * phi
-        power = power.scale(Fraction(1, _fact(s)))
+        power = power.scale(Fraction(1, factorial(s)))
         basis = [_coords_to_circulation(g, j, vec)
                  for vec in integral_circulations(g, j)]
         masks = subset_masks(m, top - j)
@@ -453,13 +326,6 @@ def multiplication_rank_check(g: Graph) -> bool:
     return True
 
 
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def _coords_to_circulation(g, j, vec):
     masks = subset_masks(g.num_edges, j)
     return Circulation(QQ, {mask: v for mask, v in zip(masks, vec) if v})
@@ -470,17 +336,9 @@ def _rank_fractions(rows) -> int:
         return 0
     scaled = []
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in row))
         scaled.append({i: int(x * denom) for i, x in enumerate(row) if x})
     return rank_int_rows(scaled, len(rows[0]))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- corpus runner -----------------------------------------------------------

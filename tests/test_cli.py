@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -163,3 +167,11 @@ def test_report_determinism(capsys, graph_dir):
     doc1.pop("elapsed_ms")
     doc2.pop("elapsed_ms")
     assert json.dumps(doc1, sort_keys=False) == json.dumps(doc2, sort_keys=False)
+
+
+def test_cli_import_does_not_load_numpy():
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, flowalg.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

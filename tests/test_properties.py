@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, nilpotence)
-from flowalg.graph import complete_graph, cycle_graph
+from flowalg.graph import build, complete_graph, cycle_graph
 from flowalg.relations import relation_matrix
-from flowalg.verify import multiplication_rank_check
+from flowalg.verify import _is_signed_copy, multiplication_rank_check
 
 RINGS = [QQ, ZZ, GF(2), GF(3), GF(5)]
 
@@ -191,15 +191,23 @@ def test_multiplication_rank_small_corpus(corpus4):
     assert multiplication_rank_check(cycle_graph(6))
 
 
-def test_mod_p_rank_matches_exact():
-    import numpy as np
-
-    from flowalg.linalg import rank
-    from flowalg.verify import _rank_mod_p
-
-    rng = random.Random(17)
-    for _ in range(80):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        assert _rank_mod_p(np.array(mat, dtype=np.int64)) == rank(mat)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=63))
+def test_reoriented_relation_matrix_is_signed_reference(ends, flip_mask):
+    # Reversing an edge negates exactly its entries: in row (sigma, v) the
+    # entry at column c changes sign iff the edge c adds to sigma is flipped.
+    g = build([(i, t, h) for i, (t, h) in enumerate(ends, start=1)])
+    flip_mask &= (1 << g.num_edges) - 1
+    g2 = g.reorient(g.ids_of(flip_mask))
+    for j in range(g.num_edges + 1):
+        ref = relation_matrix(g, j)
+        rel = relation_matrix(g2, j)
+        assert rel.row_labels == ref.row_labels
+        signed = tuple(
+            tuple((c, -v if (ref.basis[c] ^ sigma) & flip_mask else v)
+                  for c, v in row)
+            for (sigma, _), row in zip(ref.row_labels, ref.rows))
+        assert rel.rows == signed
+        assert _is_signed_copy(rel, ref, flip_mask)

@@ -14,8 +14,8 @@ def test_orientation_invariance_holds_on_small_graphs():
 
 def test_orientation_invariance_rejects_a_rank_change(monkeypatch):
     # A pipeline that loses the degree-2 relations on every re-oriented copy
-    # must fail the certificate and then the exact fallback: the reference
-    # graph's pivot rows only choose which rows to test.
+    # is no signed copy of the reference matrix, so the exact fallback ranks
+    # it and must find the rank change.
     g = complete_graph(4)
     real = verify.relation_matrix
 
@@ -30,12 +30,26 @@ def test_orientation_invariance_rejects_a_rank_change(monkeypatch):
     assert not orientation_invariance(g, trials=5, seed=1)
 
 
-def test_pivot_rows_mod_p_pick_a_row_basis():
-    from flowalg.linalg import rank
+def test_orientation_invariance_ranks_other_forms_exactly(monkeypatch):
+    # Doubling a row keeps the rank but breaks the signed-copy form, so each
+    # re-oriented copy must pass through exact elimination.
+    g = complete_graph(4)
+    real = verify.relation_matrix
+    real_rank = verify.rank_int_rows
+    ranked = []
 
-    mat = [[1, -1, 0, 0], [2, -2, 0, 0], [0, 1, -1, 0], [1, 0, -1, 0],
-           [0, 0, 0, 3]]
-    rows = [list(enumerate(r)) for r in mat]
-    chosen = verify._pivot_rows_mod_p(rows)
-    assert chosen == [0, 2, 4]
-    assert rank([mat[i] for i in chosen]) == rank(mat) == 3
+    def doubled(h, j):
+        rel = real(h, j)
+        if h.edges == g.edges or not rel.rows:
+            return rel
+        return RelationMatrix(rel.degree, rel.basis, rel.rows + rel.rows[:1],
+                              rel.row_labels + rel.row_labels[:1])
+
+    def spy(rows, ncols):
+        ranked.append(ncols)
+        return real_rank(rows, ncols)
+
+    monkeypatch.setattr(verify, "relation_matrix", doubled)
+    monkeypatch.setattr(verify, "rank_int_rows", spy)
+    assert orientation_invariance(g, trials=5, seed=1)
+    assert ranked
