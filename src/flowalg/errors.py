@@ -26,6 +26,13 @@ class CheckError(FlowAlgError):
     input, never a user error."""
 
 
+def check_failed(g, stage: str, detail: str) -> CheckError:
+    """A ``CheckError`` naming the failed stage and the graph's edge list;
+    ``detail`` gives the values that disagree."""
+    return CheckError(f"{stage} check failed on the graph with edges "
+                      f"{list(g.edges)}: {detail}")
+
+
 MAX_SUBSET_EDGES = 20
 
 # Above 170,800, the largest product of chord indices over all chord orders

@@ -170,20 +170,8 @@ class Graph:
         """Deterministic spanning forest: greedy over ascending edge id,
         skipping loops and cycle-closing edges."""
         parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        chosen = []
-        for eid, tail, head in sorted(self.edges):
-            rt, rh = find(tail), find(head)
-            if rt != rh:
-                parent[rt] = rh
-                chosen.append(eid)
-        return frozenset(chosen)
+        return frozenset(eid for eid, tail, head in sorted(self.edges)
+                         if _union(parent, tail, head))
 
     def chords(self, forest: frozenset[int] | None = None) -> tuple[int, ...]:
         """Non-forest edges in ascending id order."""
@@ -273,21 +261,29 @@ class ContractionImage:
 # -- internal helpers ----------------------------------------------------
 
 
+def _union(parent: dict[int, int], t: int, h: int) -> bool:
+    """Join the classes of t and h in a union-find forest; False if they
+    were already one class.  The larger root always goes under the smaller,
+    so every root is the minimum vertex id of its class."""
+    while parent[t] != t:
+        parent[t] = parent[parent[t]]
+        t = parent[t]
+    while parent[h] != h:
+        parent[h] = parent[parent[h]]
+        h = parent[h]
+    if t < h:
+        parent[h] = t
+    elif h < t:
+        parent[t] = h
+    return t != h
+
+
 def _components(vertices, pairs):
-    """Union-find that always hangs the larger root under the smaller, so
-    every root is the minimum vertex id of its component."""
+    """Connected components of the vertices under the given pairs:
+    ``(count, vertex -> minimum vertex id of its component)``."""
     parent = {v: v for v in vertices}
     for t, h in pairs:
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        while parent[h] != h:
-            parent[h] = parent[parent[h]]
-            h = parent[h]
-        if t < h:
-            parent[h] = t
-        elif h < t:
-            parent[t] = h
+        _union(parent, t, h)
     comp = {}
     count = 0
     for v in vertices:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import floor, lcm, prod
+from operator import mul
 
 from . import errors
-from .errors import CapacityError, CheckError, InputError
+from .errors import CapacityError, CheckError, InputError, check_failed
 from .graph import Graph
 from .linalg import det_int, enumerate_by_norm, min_norm_affine
 from .series import QSeries, psi_series
@@ -68,7 +69,7 @@ class CosetSystem:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def characteristic_flow(g: Graph, eid: int, direction: int = 1
@@ -149,12 +150,6 @@ def lattice(g: Graph) -> FlowLattice:
                        tuple(map(tuple, gram)), det)
 
 
-def _check_failed(g: Graph, stage: str, detail: str) -> CheckError:
-    """A ``CheckError`` naming the failed stage and the graph's edge list."""
-    return CheckError(f"{stage} check failed on the graph with edges "
-                      f"{list(g.edges)}: {detail}")
-
-
 def _next_chord(sub: Graph, remaining: list[int], greedy: bool):
     """The next chord for a coset system, with its characteristic flow in
     ``sub`` and that flow's integrality index, as ``(index, chord, flow)``.
@@ -216,15 +211,15 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
     for r, chi in zip(indices, char_flows):
         phi = [x * r for x in chi]
         if any(x.denominator != 1 for x in phi):
-            raise _check_failed(g, "index rescaling",
-                                "rescaled flow has a non-integer entry")
+            raise check_failed(g, "index rescaling",
+                               "rescaled flow has a non-integer entry")
         phi = [int(x) for x in phi]
         rescaled.append(tuple(phi))
         weights.append(_dot(phi, phi))
     for h in range(len(rescaled)):
         for k in range(h + 1, len(rescaled)):
             if _dot(rescaled[h], rescaled[k]) != 0:
-                raise _check_failed(
+                raise check_failed(
                     g, "orthogonality", f"characteristic flows of chords "
                     f"{chords[h]} and {chords[k]} are not orthogonal")
     basis = [g.basic_flow(forest, c) for c in chords]
@@ -234,12 +229,12 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
                 for vec in reps for gi in range(r)]
     distinct = len(set(reps))
     if distinct != expected:
-        raise _check_failed(g, "distinct representatives",
-                            f"{distinct} distinct of {expected}")
+        raise check_failed(g, "distinct representatives",
+                           f"{distinct} distinct of {expected}")
     prod_w = prod(weights)
     kappa = complexity(g)
     if prod_w != kappa * expected * expected:
-        raise _check_failed(
+        raise check_failed(
             g, "weight identity", f"product of weights {prod_w} != "
             f"forest count {kappa} times {expected}^2")
     return CosetSystem(tuple(chords), tuple(char_flows), tuple(indices),
@@ -276,29 +271,36 @@ def theta_product(g: Graph, bound) -> QSeries:
             acc[e] = acc.get(e, 0) + c
     total = QSeries.from_dict(acc, bound)
     if not total.has_integer_exponents():
-        raise _check_failed(g, "integer exponents",
-                            "theta product has a non-integer exponent")
+        raise check_failed(g, "integer exponents",
+                           "theta product has a non-integer exponent")
     if total.coefficient(0) != 1:
-        raise _check_failed(g, "constant term",
-                            f"theta product constant term is "
-                            f"{total.coefficient(0)}, not 1")
+        raise check_failed(g, "constant term",
+                           f"theta product constant term is "
+                           f"{total.coefficient(0)}, not 1")
     return total
 
 
 def theta_enumerate(g: Graph, bound) -> QSeries:
     """Theta function by direct enumeration of all lattice vectors of norm
-    up to the bound; the oracle route."""
+    up to the bound; the oracle route.
+
+    :func:`~flowalg.linalg.enumerate_by_norm` finds the vectors by an
+    integer-scaled search over the LDL^T data of the Gram matrix; each
+    vector's norm v^T G v is then recomputed in integers from the Gram
+    matrix itself, and a vector above the bound is a failed check."""
     bound = Fraction(bound)
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     lat = lattice(g)
     gram = [list(row) for row in lat.gram]
-    acc: dict[Fraction, int] = {}
+    limit = floor(bound)  # norms are integers
+    acc: dict[int, int] = {}
     for vec in enumerate_by_norm(gram, bound):
-        norm = Fraction(sum(vec[a] * gram[a][b] * vec[b]
-                            for a in range(len(vec)) for b in range(len(vec))))
-        if norm <= bound:
-            acc[norm] = acc.get(norm, 0) + 1
+        norm = sum(x * _dot(row, vec) for x, row in zip(vec, gram) if x)
+        if norm > limit:
+            raise check_failed(g, "enumeration bound",
+                               f"vector {vec} has norm {norm} > {bound}")
+        acc[norm] = acc.get(norm, 0) + 1
     return QSeries.from_dict(acc, bound)
 
 

@@ -9,7 +9,7 @@ working scale (tens of rows and columns); the sparse integer elimination in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InfeasibleError, InputError
 
@@ -426,6 +426,15 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     The Gram matrix must be symmetric positive definite (checked exactly).
     The list is complete, duplicate-free, contains 0 and is symmetric under
     negation.
+
+    A Fincke-Pohst search over the exact LDL^T data, run in integers: with
+    q_i the lcm of the denominators of column i of L below the diagonal, the
+    norm is the sum of w_i u_i^2 over the integers
+    u_i = q_i v_i + sum_{j>i} (q_i L[j][i]) v_j, where w_i = d_i / q_i^2.
+    Scaling every w_i by the lcm S of their denominators turns the bound into
+    the integer floor(bound * S), so each coordinate's range follows from
+    ``isqrt`` and the remainder stays an integer.  Coordinates are tried in
+    ascending order, last coordinate outermost.
     """
     n = len(gram)
     bound = Fraction(bound)
@@ -434,18 +443,30 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     if n == 0:
         return [()]
     d, low = ldl(gram)
+    qs = [lcm(*(low[j][i].denominator for j in range(i + 1, n)))
+          for i in range(n)]
+    # column i below the diagonal, scaled to integers: (j, q_i * L[j][i])
+    cols = [[(j, int(low[j][i] * qs[i])) for j in range(i + 1, n)
+             if low[j][i]] for i in range(n)]
+    weights = [d[i] / (qs[i] * qs[i]) for i in range(n)]
+    scale = lcm(*(w.denominator for w in weights))
+    weights = [int(w * scale) for w in weights]
     out: list[tuple[int, ...]] = []
     vec = [0] * n
 
-    def descend(i: int, remaining: Fraction):
+    def descend(i: int, remaining: int):
         if i < 0:
             out.append(tuple(vec))
             return
-        center = sum(low[j][i] * vec[j] for j in range(i + 1, n))
-        for t in _int_range_sq(center, remaining / d[i]):
+        q, w = qs[i], weights[i]
+        a = sum(c * vec[j] for j, c in cols[i])
+        s = isqrt(remaining // w)
+        # all t with |q t + a| <= s, that is w (q t + a)^2 <= remaining
+        for t in range(-((s + a) // q), (s - a) // q + 1):
             vec[i] = t
-            descend(i - 1, remaining - d[i] * (t + center) ** 2)
+            u = q * t + a
+            descend(i - 1, remaining - w * u * u)
         vec[i] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, bound.numerator * scale // bound.denominator)
     return out

@@ -1,9 +1,14 @@
 """Tutte polynomial, its Poincare-polynomial specialization, and forest
 counts.
 
-The deletion-contraction recursion is the production route; a corank-nullity
-subset sum provides an independent oracle and is cross-checked automatically
-whenever the graph has at most 12 edges.  All arithmetic is integer-exact.
+The deletion-contraction recursion is the production route.  Two
+independent oracles check it on graphs with at most 12 edges: a
+corank-nullity subset sum checks the Tutte polynomial, and a direct count of
+maximal forests checks T(1, 1).  Each oracle runs once per distinct graph
+per process: a graph whose recursion result an oracle has confirmed is
+recorded by its :func:`_normal_form` key, and a later graph with an equal key
+(equal up to relabeling and orientation) is not checked again.  All
+arithmetic is integer-exact.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .errors import CheckError
+from .errors import check_failed
 from .graph import Graph, _components
 
 
@@ -63,9 +68,15 @@ class BiPoly:
 # same polynomial once each.
 _memo: dict[tuple, BiPoly] = {}
 
+# (check, key) pairs whose recursion result that check's oracle has
+# confirmed: "subset sum" for the Tutte polynomial, "forest count" for
+# T(1, 1).  A pair is added only after the two routes agree.
+_verified: set[tuple[str, tuple]] = set()
+
 
 def clear_cache() -> None:
     _memo.clear()
+    _verified.clear()
 
 
 def _normal_form(g: Graph) -> tuple:
@@ -85,10 +96,10 @@ def _normal_form(g: Graph) -> tuple:
     return (n, *codes)
 
 
-def _tutte_rec(g: Graph) -> BiPoly:
-    # Equal keys mean isomorphic graphs, so a hit is sound before the pivot
-    # search; only graphs with a pivot are ever stored.
-    key = _normal_form(g)
+def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
+    # ``key`` is ``_normal_form(g)``.  Equal keys mean isomorphic graphs, so
+    # a hit is sound before the pivot search; only graphs with a pivot are
+    # ever stored.
     hit = _memo.get(key)
     if hit is not None:
         return hit
@@ -102,7 +113,10 @@ def _tutte_rec(g: Graph) -> BiPoly:
         loops = sum(1 for _, t, h in g.edges if t == h)
         bridges = g.num_edges - loops
         return BiPoly({(bridges, loops): 1})
-    result = _tutte_rec(g.delete([pivot])) + _tutte_rec(g.contract([pivot]).graph)
+    deleted = g.delete([pivot])
+    contracted = g.contract([pivot]).graph
+    result = (_tutte_rec(deleted, _normal_form(deleted))
+              + _tutte_rec(contracted, _normal_form(contracted)))
     _memo[key] = result
     return result
 
@@ -155,14 +169,12 @@ def tutte_by_subsets(g: Graph) -> BiPoly:
 
 
 def tutte(g: Graph) -> BiPoly:
-    """Tutte polynomial; deletion-contraction cross-checked against the
-    subset-sum oracle when the graph has at most 12 edges."""
-    result = _tutte_rec(g)
-    if g.num_edges <= 12:
-        oracle = tutte_by_subsets(g)
-        if oracle != result:
-            raise CheckError("deletion-contraction and subset-sum Tutte "
-                             "computations disagree")
+    """Tutte polynomial by deletion-contraction.  On a graph with at most 12
+    edges the result is checked against the subset-sum oracle, once per
+    distinct graph per process (see the module docstring)."""
+    key = _normal_form(g)
+    result = _tutte_rec(g, key)
+    _cross_check(g, key, "subset sum", result, tutte_by_subsets)
     return result
 
 
@@ -176,7 +188,9 @@ def poincare(g: Graph) -> list[int]:
     for (i, j), c in t.coeffs.items():
         base = shift - i
         if base < 0:
-            raise CheckError("Tutte polynomial exceeds the graph rank")
+            raise check_failed(
+                g, "Poincare degree",
+                f"Tutte term x^{i} y^{j} exceeds the graph rank {shift}")
         for s in range(j + 1):
             acc[base + s] = acc.get(base + s, 0) + c * comb(j, s)
     degree = max(acc) if acc else 0
@@ -184,44 +198,41 @@ def poincare(g: Graph) -> list[int]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if any(c < 0 for c in coeffs) or (coeffs and coeffs[0] != 1):
-        raise CheckError("specialized polynomial has an impossible shape")
+        raise check_failed(
+            g, "Poincare shape",
+            f"Tutte polynomial {t.sorted_items()} specializes to {coeffs}, "
+            f"which is not 1 + (nonnegative terms)")
     return coeffs
 
 
 def count_spanning_forests(g: Graph) -> int:
-    """Direct enumeration oracle: acyclic edge sets of size n - k."""
-    n = g.num_vertices
+    """Direct enumeration oracle: the edge sets of size n - k whose spanning
+    subgraph keeps the graph's k components, which are exactly the acyclic
+    ones."""
     k = g.num_components
-    target = n - k
-    count = 0
-    for subset in combinations(g.edges, target):
-        parent = {v: v for v in g.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        ok = True
-        for _, tail, head in subset:
-            rt, rh = find(tail), find(head)
-            if rt == rh:
-                ok = False
-                break
-            parent[rt] = rh
-        if ok:
-            count += 1
-    return count
+    return sum(1 for subset in combinations(g.edges, g.num_vertices - k)
+               if _components(g.vertices,
+                              [(t, h) for _, t, h in subset])[0] == k)
 
 
 def complexity(g: Graph) -> int:
-    """Number of maximal forests, computed as T(1, 1) and cross-checked by
-    direct enumeration when the graph has at most 12 edges."""
-    kappa = sum(_tutte_rec(g).coeffs.values())
-    if g.num_edges <= 12:
-        direct = count_spanning_forests(g)
-        if direct != kappa:
-            raise CheckError(
-                f"T(1,1) = {kappa} but direct forest count = {direct}")
+    """Number of maximal forests, computed as T(1, 1).  On a graph with at
+    most 12 edges it is checked against direct enumeration, once per
+    distinct graph per process (see the module docstring)."""
+    key = _normal_form(g)
+    kappa = sum(_tutte_rec(g, key).coeffs.values())
+    _cross_check(g, key, "forest count", kappa, count_spanning_forests)
     return kappa
+
+
+def _cross_check(g: Graph, key: tuple, check: str, value, oracle) -> None:
+    """Compare the recursion's ``value`` for g (``key`` is its normal form)
+    with ``oracle(g)`` on a graph with at most 12 edges, unless ``check``
+    has already confirmed that key; record the key once the two agree."""
+    if g.num_edges > 12 or (check, key) in _verified:
+        return
+    expected = oracle(g)
+    if expected != value:
+        raise check_failed(g, check, f"deletion-contraction gives {value!r}, "
+                                     f"the oracle gives {expected!r}")
+    _verified.add((check, key))

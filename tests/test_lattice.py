@@ -204,3 +204,13 @@ def test_theta_check_error_names_stage_and_graph(monkeypatch):
     with pytest.raises(CheckError, match="constant term") as info:
         theta_product(g, 6)
     assert str(list(g.edges)) in str(info.value)
+
+
+def test_theta_enumerate_rejects_a_vector_above_the_bound(monkeypatch):
+    g = cycle_graph(3)  # Gram matrix [[3]]
+    monkeypatch.setattr(lattice_mod, "enumerate_by_norm",
+                        lambda gram, bound: [(0,), (1,)])
+    with pytest.raises(CheckError, match="enumeration bound") as info:
+        theta_enumerate(g, 2)
+    assert str(list(g.edges)) in str(info.value)
+    assert "norm 3 > 2" in str(info.value)

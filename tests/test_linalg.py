@@ -1,13 +1,16 @@
 from fractions import Fraction
+from itertools import product
+from math import floor, isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowalg.errors import InfeasibleError, InputError
 from flowalg.graph import cycle_graph
 from flowalg.linalg import (det_int, enumerate_by_norm, hermite_rows,
                             integer_kernel_basis, kernel_basis,
                             min_norm_affine, min_norm_solution, rank,
-                            rank_int_rows, smith_normal_form)
+                            rank_int_rows, smith_normal_form, solve_square)
 
 F = Fraction
 
@@ -128,6 +131,47 @@ def test_enumerate_by_norm_symmetry_and_zero():
     vecs = set(enumerate_by_norm(gram, 7))
     assert (0, 0) in vecs
     assert all(tuple(-x for x in v) in vecs for v in vecs)
+
+
+@st.composite
+def spd_grams(draw):
+    """Symmetric positive definite n x n matrices, n <= 3: B^T B + I with
+    small integer B, or L D L^T with small rational L and D."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        return [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j)
+                 for j in range(n)] for i in range(n)]
+    low = [[F(draw(st.integers(-1, 1)), draw(st.integers(1, 3))) if j < i
+            else F(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [F(draw(st.integers(1, 3)), draw(st.integers(1, 2))) for _ in range(n)]
+    return [[sum(low[i][k] * d[k] * low[j][k] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def brute_force_by_norm(gram, bound):
+    """Every v with v^T G v <= bound, from the box |v_i|^2 <= bound (G^-1)_ii
+    (Cauchy-Schwarz in the G inner product), in the search's order: last
+    coordinate outermost, each ascending."""
+    n = len(gram)
+    inv_diag = [solve_square(gram, [int(i == j) for j in range(n)])[i]
+                for i in range(n)]
+    radii = [isqrt(floor(bound * x)) for x in inv_diag]
+    found = []
+    for flipped in product(*(range(-r, r + 1) for r in reversed(radii))):
+        v = flipped[::-1]
+        if sum(v[a] * gram[a][b] * v[b]
+               for a in range(n) for b in range(n)) <= bound:
+            found.append(v)
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_grams(), st.builds(F, st.integers(0, 12), st.integers(1, 2)))
+@example([[2, 1], [1, 3]], F(7, 2))  # weights 1/2 and 5/2: scaled by 2
+@example([[F(1, 2)]], F(3))
+def test_enumerate_by_norm_matches_brute_force(gram, bound):
+    assert enumerate_by_norm(gram, bound) == brute_force_by_norm(gram, bound)
 
 
 def test_enumerate_rejects_bad_gram():

@@ -1,9 +1,15 @@
+import importlib
+
 import pytest
 
+from flowalg.errors import CheckError
 from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
                            cycle_graph, disjoint_union, path_graph)
 from flowalg.tutte import (BiPoly, complexity, count_spanning_forests,
                            poincare, tutte, tutte_by_subsets)
+
+# the package re-exports the function ``tutte`` under the module's name
+tutte_mod = importlib.import_module("flowalg.tutte")
 
 
 def test_tutte_base_cases():
@@ -72,3 +78,64 @@ def test_subset_oracle_beyond_the_automatic_check():
          (3, 5), (4, 5), (1, 2), (3, 3), (4, 5)], start=1)])
     assert g.num_edges == 13
     assert tutte_by_subsets(g) == tutte(g)
+
+
+def test_oracles_run_once_per_distinct_graph(monkeypatch):
+    calls = {"subsets": 0, "forests": 0}
+
+    def counted(name, oracle):
+        def run(g):
+            calls[name] += 1
+            return oracle(g)
+        return run
+
+    monkeypatch.setattr(tutte_mod, "tutte_by_subsets",
+                        counted("subsets", tutte_by_subsets))
+    monkeypatch.setattr(tutte_mod, "count_spanning_forests",
+                        counted("forests", count_spanning_forests))
+    g = build([(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 1, 3), (5, 2, 2)])
+    # the same graph up to orientation, and up to a relabeling of its edges
+    # and vertices (with an isolated vertex added)
+    copies = [g, g.reorient([1, 4]),
+              build([(7 * e, 10 * t, 10 * h) for e, t, h in g.edges],
+                    isolated=[99])]
+    tutte_mod.clear_cache()
+    for copy in copies:
+        assert tutte(copy) == tutte(g)
+        assert complexity(copy) == 5
+    assert calls == {"subsets": 1, "forests": 1}
+    tutte_mod.clear_cache()
+    tutte(g)
+    complexity(g)
+    assert calls == {"subsets": 2, "forests": 2}
+
+
+def test_a_disagreement_is_never_recorded(monkeypatch):
+    g = complete_graph(4)
+    tutte_mod.clear_cache()
+    monkeypatch.setattr(tutte_mod, "_tutte_rec",
+                        lambda graph, key: BiPoly.one())
+    for _ in range(2):
+        with pytest.raises(CheckError, match="subset sum") as info:
+            tutte(g)
+        assert str(list(g.edges)) in str(info.value)
+        assert repr(tutte_by_subsets(g)) in str(info.value)
+        with pytest.raises(CheckError, match="forest count") as info:
+            complexity(g)
+        assert str(list(g.edges)) in str(info.value)
+        assert "gives 1, the oracle gives 16" in str(info.value)
+
+
+def test_poincare_shape_errors_name_stage_graph_and_values(monkeypatch):
+    g = cycle_graph(3)
+    monkeypatch.setattr(tutte_mod, "tutte", lambda graph: BiPoly({(3, 0): 1}))
+    with pytest.raises(CheckError, match="Poincare degree") as info:
+        poincare(g)
+    assert str(list(g.edges)) in str(info.value)
+    assert "x^3 y^0 exceeds the graph rank 2" in str(info.value)
+    monkeypatch.setattr(tutte_mod, "tutte",
+                        lambda graph: BiPoly({(2, 0): 1, (1, 0): -2}))
+    with pytest.raises(CheckError, match="Poincare shape") as info:
+        poincare(g)
+    assert str(list(g.edges)) in str(info.value)
+    assert "[1, -2]" in str(info.value)
