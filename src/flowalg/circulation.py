@@ -17,8 +17,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
-from .errors import CapacityError, CheckError, InputError, require_capacity
-from .graph import Graph
+from .errors import (CapacityError, InputError, check_failed,
+                     require_capacity)
+from .graph import Graph, _components
 from .linalg import rank_int_rows
 from .report import CheckReport
 from .tutte import poincare, tutte
@@ -121,13 +122,6 @@ class Circulation:
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(mask.bit_count() == degree for mask in self.table)
-
-    def degree_component(self, degree: int) -> "Circulation":
-        return Circulation(self.ring, {m: v for m, v in self.table.items()
-                                       if m.bit_count() == degree})
-
-    def support_masks(self) -> set[int]:
-        return set(self.table)
 
     def _require_same_ring(self, other: "Circulation"):
         if self.ring != other.ring:
@@ -429,7 +423,9 @@ def relation_membership_check(g: Graph) -> dict:
             np_val = k
             dp = divided_power(theta, k)
             if dp.scale(factorial(k)) != power:
-                raise CheckError("divided power and repeated product disagree")
+                raise check_failed(
+                    g, "divided power", f"{k}! times the divided power of "
+                    f"{label} != its {k}-th power")
             power = power * theta
         vanishes = np_val <= ssize
         tight = np_val == ssize
@@ -453,31 +449,13 @@ def relation_membership_check(g: Graph) -> dict:
 def _supports_single_cycle(g: Graph, theta: Circulation) -> bool:
     """Whether the supporting edges form one cycle: connected with every
     incident vertex of degree exactly two (a loop counts twice)."""
-    edges = []
-    for mask in theta.table:
-        pos = mask.bit_length() - 1
-        edges.append(g.edges[pos])
+    edges = [g.edges[mask.bit_length() - 1][1:] for mask in theta.table]
     deg: dict[int, int] = {}
-    for _, t, h in edges:
+    for t, h in edges:
         deg[t] = deg.get(t, 0) + 1
         deg[h] = deg.get(h, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connectivity over the used vertices
-    used = set(deg)
-    adj = {v: set() for v in used}
-    for _, t, h in edges:
-        adj[t].add(h)
-        adj[h].add(t)
-    seen = set()
-    stack = [next(iter(used))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return seen == used
+    return (all(d == 2 for d in deg.values())
+            and _components(deg, edges)[0] == 1)
 
 
 def verify_inequalities(g: Graph) -> CheckReport:

@@ -263,21 +263,17 @@ def _cmd_verify(args, started):
 def _cmd_corpus(args, started):
     summary = run_corpus(args.max_edges, theta_bound=args.max_norm,
                          trials=args.trials, deep=args.all)
-    doc = {
-        "command": "corpus",
-        "inputs": [],
-        "results": {
-            "graphs": summary["graphs"],
-            "max-edges": summary["max_edges"],
-            "checks-run": summary["checks_run"],
-            "failures": summary["failures"],
-            "exploratory-failures": summary["exploratory_failures"],
-        },
-        "checks": [{"check": "corpus", "status":
-                    "pass" if summary["passed"] else "fail"}],
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
+    results = {
+        "graphs": summary["graphs"],
+        "max-edges": summary["max_edges"],
+        "checks-run": summary["checks_run"],
+        "failures": summary["failures"],
+        "exploratory-failures": summary["exploratory_failures"],
     }
-    return doc, EXIT_OK if summary["passed"] else EXIT_CHECK_FAILURE
+    checks = [{"check": "corpus",
+               "status": "pass" if summary["passed"] else "fail"}]
+    code = EXIT_OK if summary["passed"] else EXIT_CHECK_FAILURE
+    return _document("corpus", [], results, checks, started), code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,7 +357,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(json.dumps({"error": str(exc), "kind": "capacity"}, indent=2))
         return EXIT_CAPACITY
-    except (InputError, FlowAlgError) as exc:
+    except FlowAlgError as exc:
         kind = "check" if isinstance(exc, CheckError) else "input"
         print(json.dumps({"error": str(exc), "kind": kind}, indent=2))
         return EXIT_CHECK_FAILURE if kind == "check" else EXIT_INPUT_ERROR

@@ -24,7 +24,7 @@ from math import floor, lcm, prod
 from operator import mul
 
 from . import errors
-from .errors import CapacityError, CheckError, InputError, check_failed
+from .errors import CapacityError, InputError, check_failed
 from .graph import Graph
 from .linalg import det_int, enumerate_by_norm, min_norm_affine
 from .series import QSeries, psi_series
@@ -77,6 +77,12 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     """Unit electric current through one edge: the unique minimum-norm
     rational flow with value 1 on the chosen arc.
 
+    It is the projection of the unit vector of the edge onto the flow space,
+    rescaled to value 1 on the edge: x = e - B^T p, where B is the incidence
+    matrix and the vertex potential p solves L p = B e for the graph
+    Laplacian L = B B^T, so that x_f = [f = e] - (p_head(f) - p_tail(f)).
+    :func:`~flowalg.linalg.min_norm_affine` does this with one exact solve.
+
     Raises ``InputError`` for cut-edges, where every flow vanishes on the
     edge and the constraint is infeasible.
     """
@@ -86,16 +92,16 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     if g.is_cut_edge(eid):
         raise InputError(
             f"edge {eid} is a cut-edge: the flow space forces value 0 on it")
-    pos = g.position(eid)
-    rows = [[Fraction(x) for x in row] for row in g.incidence_rows()]
-    chi = min_norm_affine(rows, [(pos, Fraction(direction))],
-                          ncols=g.num_edges)
+    chi = min_norm_affine(g.incidence_rows(), g.position(eid), direction,
+                          g.num_edges)
     norm = sum(x * x for x in chi)
     head_a = head if direction == 1 else tail
     tail_a = tail if direction == 1 else head
     potential = _integrate_potential(g, eid, chi, head_a)
     if norm != 1 + potential[tail_a]:
-        raise CheckError("potential does not reproduce the flow norm")
+        raise check_failed(g, "potential norm",
+                           f"norm {norm} != 1 + potential "
+                           f"{potential[tail_a]} at vertex {tail_a}")
     return CharacteristicFlow(eid, direction, tuple(chi), potential, norm)
 
 
@@ -125,7 +131,10 @@ def _integrate_potential(g: Graph, eid: int, chi, base: int
         if other_eid == eid or t == h:
             continue
         if chi[g.position(other_eid)] != potential[h] - potential[t]:
-            raise CheckError("flow is not a potential difference off the edge")
+            raise check_failed(
+                g, "potential difference", f"flow {chi[g.position(other_eid)]}"
+                f" on edge {other_eid} != potential difference "
+                f"{potential[h] - potential[t]}")
     return potential
 
 
@@ -145,7 +154,8 @@ def lattice(g: Graph) -> FlowLattice:
     det = det_int(gram)
     kappa = complexity(g)
     if det != kappa:
-        raise CheckError(f"Gram determinant {det} != forest count {kappa}")
+        raise check_failed(g, "Gram determinant",
+                           f"Gram determinant {det} != forest count {kappa}")
     return FlowLattice(chords, tuple(map(tuple, basis)),
                        tuple(map(tuple, gram)), det)
 

@@ -4,12 +4,17 @@ Everything here is exact: matrices hold Python ints or ``Fraction``s and no
 floating point enters any code path.  Dense routines are adequate at the
 working scale (tens of rows and columns); the sparse integer elimination in
 :func:`rank_int_rows` is the hot path for relation-matrix ranks.
+
+Minimum-norm points come from one orthogonal projection onto a kernel,
+computed by a single :func:`rref` of the Gram system mat mat^T; on an
+incidence matrix that is the graph Laplacian (see :func:`min_norm_affine`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import InfeasibleError, InputError
 
@@ -52,94 +57,34 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(mat) -> int:
-    """Rank over the rationals."""
-    if not mat:
-        return 0
-    if all(isinstance(x, int) for row in mat for x in row):
-        ncols = len(mat[0])
-        rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
-        return rank_int_rows(rows, ncols)
-    return len(rref(mat)[1])
+def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
+    """Minimum-norm point of ``{x : mat @ x = 0, x[i] = value}``.
 
-
-def kernel_basis(mat: Matrix) -> list[Vector]:
-    """Basis of the right null space over the rationals."""
-    if not mat or not mat[0]:
-        n = len(mat[0]) if mat else 0
-        return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    red, pivots = rref(mat)
-    cols = len(mat[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve_square(a: Matrix, b: Vector) -> Vector:
-    """Solve a nonsingular square rational system."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise InputError("singular system")
-    return [red[r][n] for r in range(n)]
-
-
-def min_norm_solution(a: Matrix, b: Vector) -> Vector:
-    """The vector of least Euclidean norm satisfying ``a @ x = b``.
-
-    Computed by exact orthogonal projection: the minimizer lies in the row
-    space of ``a``, so with an independent subsystem (A', b') it equals
-    A'^T y where (A' A'^T) y = b'.
+    With P the orthogonal projection onto ker(mat), the minimizer is
+    value * P e_i / (P e_i)_i, because |P e_i|^2 = (P e_i)_i.  One solve gives
+    P e_i = e_i - mat^T y for any y with (mat mat^T) y = mat e_i: the system is
+    always consistent and mat^T y does not depend on the choice of y, so the
+    free variables are set to 0.  For an incidence matrix, mat mat^T is the
+    graph Laplacian and y a vertex potential.  Raises ``InfeasibleError`` if
+    value != 0 but every point of ker(mat) vanishes at i.
     """
-    if not a:
-        raise InputError("empty constraint system")
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    ncols = len(a[0])
-    if any(p == ncols for p in pivots):
-        raise InfeasibleError("constraints are inconsistent")
-    rows = [red[r][:ncols] for r in range(len(pivots))]
-    rhs = [red[r][ncols] for r in range(len(pivots))]
-    if not rows:
-        return [Fraction(0)] * ncols
-    zero = Fraction(0)
-    gram = [[sum((x * y for x, y in zip(r1, r2) if x and y), zero)
-             for r2 in rows] for r1 in rows]
-    y = solve_square(gram, rhs)
-    return [sum((y[i] * row[c] for i, row in enumerate(rows) if row[c]), zero)
+    if not 0 <= i < ncols:
+        raise InputError(f"fixed coordinate {i} out of range")
+    value = Fraction(value)
+    r = len(mat)
+    red, pivots = rref([[sum(map(mul, r1, r2)) for r2 in mat] + [r1[i]]
+                        for r1 in mat])
+    y = [Fraction(0)] * r
+    for k, p in enumerate(pivots):
+        y[p] = red[k][r]
+    proj = [int(c == i) - sum(y[k] * mat[k][c] for k in range(r) if mat[k][c])
             for c in range(ncols)]
-
-
-def min_norm_affine(mat: Matrix, fixed: list[tuple[int, Fraction]],
-                    ncols: int | None = None) -> Vector:
-    """Minimum-norm point of ``{x : mat @ x = 0, x[i] = v for (i, v) in
-    fixed}``."""
-    if ncols is None:
-        if mat:
-            ncols = len(mat[0])
-        elif fixed:
-            ncols = max(i for i, _ in fixed) + 1
-        else:
-            raise InputError("cannot infer dimension")
-    rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
-            for row in mat]
-    rhs: Vector = [Fraction(0)] * len(rows)
-    for i, v in fixed:
-        if not 0 <= i < ncols:
-            raise InputError(f"fixed coordinate {i} out of range")
-        unit = [Fraction(0)] * ncols
-        unit[i] = Fraction(1)
-        rows.append(unit)
-        rhs.append(Fraction(v))
-    return min_norm_solution(rows, rhs)
+    if proj[i] == 0:
+        if value:
+            raise InfeasibleError(f"every point of the kernel vanishes at {i}")
+        return [Fraction(0)] * ncols
+    scale = value / proj[i]
+    return [x * scale for x in proj]
 
 
 # -- sparse fraction-free integer elimination ------------------------------

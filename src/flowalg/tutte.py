@@ -46,9 +46,6 @@ class BiPoly:
                 acc[k] = acc.get(k, 0) + c1 * c2
         return BiPoly(acc)
 
-    def shift(self, di: int, dj: int) -> "BiPoly":
-        return BiPoly({(i + di, j + dj): c for (i, j), c in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
 

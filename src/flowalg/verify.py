@@ -26,8 +26,9 @@ from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
-from .relations import (RelationMatrix, integral_circulations, rank_sequence,
-                        relation_matrix, torsion_check)
+from .relations import (RelationMatrix, circulation_from_coords,
+                        integral_circulations, rank_sequence, relation_matrix,
+                        torsion_check)
 from .report import CheckReport
 from .tutte import complexity, poincare
 
@@ -107,6 +108,9 @@ def _signed_diag_equivalent(g1, g2) -> bool:
 # -- per-graph verification --------------------------------------------------
 
 
+# seeds the vertex-cut sample and the orientation trials
+_SEED = 2024
+
 _UNION_PARTNERS = [
     ("edge", build([(1, 1, 2)])),
     ("loop", build([(1, 1, 1)])),
@@ -124,7 +128,7 @@ def _poly_add(a, b, shift=0):
     return trimmed(out)
 
 
-def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
+def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
     """Run the full identity and inequality suite on one graph."""
     rep = CheckReport()
@@ -221,7 +225,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
     for check in verify_inequalities(g).checks:
         rep.checks.append(check)
 
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     ok = True
     for _ in range(4):
         subset = [v for v in g.vertices if rng.random() < 0.5]
@@ -239,8 +243,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
 
     if trials:
         rep.add("orientation-invariance",
-                orientation_invariance(g, trials, seed=seed,
-                                       theta_bound=theta_bound))
+                orientation_invariance(g, trials, theta_bound=theta_bound))
 
     if deep:
         membership = relation_membership_check(g)
@@ -249,7 +252,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0, seed: int = 2024,
     return rep
 
 
-def orientation_invariance(g: Graph, trials: int, seed: int = 2024,
+def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
                            theta_bound=12) -> bool:
     """Re-run the pipeline on randomly re-oriented copies and demand
     identical rank sequence, Tutte specialization, Gram determinant and
@@ -307,7 +310,7 @@ def multiplication_rank_check(g: Graph) -> bool:
         for _ in range(s):
             power = power * phi
         power = power.scale(Fraction(1, factorial(s)))
-        basis = [_coords_to_circulation(g, j, vec)
+        basis = [circulation_from_coords(g, j, vec, QQ)
                  for vec in integral_circulations(g, j)]
         masks = subset_masks(m, top - j)
         col = {mask: i for i, mask in enumerate(masks)}
@@ -326,11 +329,6 @@ def multiplication_rank_check(g: Graph) -> bool:
     return True
 
 
-def _coords_to_circulation(g, j, vec):
-    masks = subset_masks(g.num_edges, j)
-    return Circulation(QQ, {mask: v for mask, v in zip(masks, vec) if v})
-
-
 def _rank_fractions(rows) -> int:
     if not rows:
         return 0
@@ -345,7 +343,7 @@ def _rank_fractions(rows) -> int:
 
 
 def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
-               deep: bool = False, progress=None) -> dict:
+               deep: bool = False) -> dict:
     """Verify every connected multigraph with up to ``max_edges`` edges.
 
     Returns an aggregate report: graph count, check count, and the failures
@@ -356,7 +354,7 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
     failures = []
     exploratory_failures = []
     total_checks = 0
-    for idx, g in enumerate(graphs):
+    for g in graphs:
         report = verify_graph(g, theta_bound=theta_bound, trials=trials,
                               deep=deep)
         total_checks += len(report.checks)
@@ -369,8 +367,6 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
                     exploratory_failures.append(entry)
                 else:
                     failures.append(entry)
-        if progress is not None:
-            progress(idx + 1, len(graphs))
     return {
         "graphs": len(graphs),
         "max_edges": max_edges,

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from math import comb
 
@@ -7,9 +8,12 @@ from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, monomial_dimensions, nilpotence,
                                  pseudopower, relation_membership_check,
                                  verify_inequalities)
-from flowalg.errors import InputError
-from flowalg.graph import bouquet_graph, complete_graph, cycle_graph, path_graph
+from flowalg.errors import CheckError, InputError
+from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
+                           path_graph)
 from flowalg.tutte import poincare
+
+circulation_mod = importlib.import_module("flowalg.circulation")
 
 
 def beta_of(g, chord):
@@ -137,6 +141,27 @@ def test_relation_membership_k4_generator_family():
     for entry in out["generators"]:
         assert entry["nilpotence"] == entry["support"]
         assert entry["vanishes_beyond_support"]
+
+
+def test_relation_membership_check_names_stage_and_graph(monkeypatch):
+    g = cycle_graph(3)
+    monkeypatch.setattr(circulation_mod, "divided_power",
+                        lambda phi, k: Circulation.unit(phi.ring))
+    with pytest.raises(CheckError, match="divided power") as info:
+        relation_membership_check(g)
+    assert str(list(g.edges)) in str(info.value)
+
+
+def test_single_cycle_support_needs_connectivity():
+    # two disjoint 2-cycles: every vertex has degree two, yet no one cycle
+    g = build([(1, 1, 2), (2, 2, 1), (3, 3, 4), (4, 4, 3)])
+    both = Circulation(ZZ, {1 << i: 1 for i in range(4)})
+    one = Circulation(ZZ, {0b1: 1, 0b10: 1})
+    assert not circulation_mod._supports_single_cycle(g, both)
+    assert circulation_mod._supports_single_cycle(g, one)
+    loop = build([(1, 1, 1)])
+    assert circulation_mod._supports_single_cycle(
+        loop, Circulation(ZZ, {0b1: 1}))
 
 
 def test_relation_membership_forest():

@@ -214,3 +214,32 @@ def test_theta_enumerate_rejects_a_vector_above_the_bound(monkeypatch):
         theta_enumerate(g, 2)
     assert str(list(g.edges)) in str(info.value)
     assert "norm 3 > 2" in str(info.value)
+
+
+def test_potential_norm_check_names_stage_and_graph(monkeypatch):
+    g = cycle_graph(3)
+    monkeypatch.setattr(lattice_mod, "_integrate_potential",
+                        lambda graph, eid, chi, base:
+                        {v: F(0) for v in graph.vertices})
+    with pytest.raises(CheckError, match="potential norm") as info:
+        characteristic_flow(g, 1)
+    assert str(list(g.edges)) in str(info.value)
+
+
+def test_potential_difference_check_names_stage_and_graph(monkeypatch):
+    g = dipole_graph(3)
+    # a vector that is no flow: the potential cannot fit both other edges
+    monkeypatch.setattr(lattice_mod, "min_norm_affine",
+                        lambda mat, i, value, ncols: [F(0), F(0), F(1)])
+    with pytest.raises(CheckError, match="potential difference") as info:
+        characteristic_flow(g, g.edge_ids[0])
+    assert str(list(g.edges)) in str(info.value)
+
+
+def test_gram_determinant_check_names_stage_and_graph(monkeypatch):
+    g = complete_graph(4)
+    monkeypatch.setattr(lattice_mod, "complexity", lambda graph: 1)
+    with pytest.raises(CheckError, match="Gram determinant") as info:
+        lattice(g)
+    assert str(list(g.edges)) in str(info.value)
+    assert "!= forest count 1" in str(info.value)

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from flowalg.errors import InfeasibleError, InputError
 from flowalg.graph import cycle_graph
 from flowalg.linalg import (det_int, enumerate_by_norm, hermite_rows,
-                            integer_kernel_basis, kernel_basis,
-                            min_norm_affine, min_norm_solution, rank,
-                            rank_int_rows, smith_normal_form, solve_square)
+                            integer_kernel_basis, min_norm_affine,
+                            rank_int_rows, rref, smith_normal_form)
 
 F = Fraction
 
@@ -18,34 +17,6 @@ F = Fraction
 def triangle_incidence():
     g = cycle_graph(3)
     return [list(g.incidence_row(v)) for v in g.vertices]
-
-
-def test_rank_examples():
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank(triangle_incidence()) == 2
-
-
-def test_rank_transpose_matches():
-    mats = [
-        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
-        [[5]],
-        [[1, 1], [1, -1], [2, 0]],
-    ]
-    for m in mats:
-        mt = [list(col) for col in zip(*m)]
-        assert rank(m) == rank(mt)
-
-
-def test_kernel_basis_examples():
-    assert kernel_basis([[F(1), F(0)], [F(0), F(1)]]) == []
-    basis = kernel_basis([[F(1), F(1)]])
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] + v[1] == 0 and v != [0, 0]
-    tri = kernel_basis([[F(x) for x in row] for row in triangle_incidence()])
-    assert len(tri) == 1
-    assert len(set(map(abs, tri[0]))) == 1  # cycle vector, equal magnitudes
 
 
 def test_smith_normal_form_examples():
@@ -75,7 +46,8 @@ def test_snf_factor_count_is_rank():
         [[6, 0], [0, 10], [0, 0]],
     ]
     for m in mats:
-        assert len(smith_normal_form(m)) == rank(m)
+        rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+        assert len(smith_normal_form(m)) == rank_int_rows(rows, len(m[0]))
 
 
 def test_integer_kernel_basis():
@@ -97,26 +69,46 @@ def test_hermite_rows_normalizes():
 
 
 def test_min_norm_affine_examples():
-    assert min_norm_affine([], [(0, 1)], ncols=1) == [F(1)]
-    g = cycle_graph(3)
-    rows = [[F(x) for x in g.incidence_row(v)] for v in g.vertices]
-    point = min_norm_affine(rows, [(0, F(1))])
+    assert min_norm_affine([], 0, 1, 1) == [F(1)]
+    point = min_norm_affine(triangle_incidence(), 0, 1, 3)
     assert [abs(x) for x in point] == [1, 1, 1]
     assert sum(x * x for x in point) == 3
-    assert min_norm_solution([[F(1), F(1)]], [F(1)]) == [F(1, 2), F(1, 2)]
-
-
-def test_min_norm_orthogonality_property():
-    # solution is orthogonal to the direction space of the feasible set
-    rows = [[F(1), F(2), F(0)], [F(0), F(1), F(1)]]
-    x = min_norm_solution(rows, [F(3), F(1)])
-    for direction in kernel_basis(rows):
-        assert sum(a * b for a, b in zip(x, direction)) == 0
+    assert min_norm_affine([[1, -1, 0]], 0, 2, 3) == [F(2), F(2), F(0)]
+    assert min_norm_affine([[1, 1, 1]], 2, 1, 3) == [F(-1, 2), F(-1, 2), F(1)]
+    assert min_norm_affine([[1, 1]], 1, 0, 2) == [F(0), F(0)]
 
 
 def test_min_norm_infeasible():
     with pytest.raises(InfeasibleError):
-        min_norm_solution([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
+        min_norm_affine([[1, 0], [0, 1]], 0, 1, 2)
+    with pytest.raises(InputError):
+        min_norm_affine([[1, 1]], 2, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda ncols: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols),
+             max_size=4),
+    st.integers(0, ncols - 1), st.integers(-3, 3), st.just(ncols))))
+def test_min_norm_orthogonality_property(case):
+    """The point lies on the affine set and is orthogonal to its direction
+    space, the vectors of ker(mat) that vanish at i; it exists exactly when
+    the value is 0 or some vector of ker(mat) is nonzero at i."""
+    mat, i, value, ncols = case
+    unit = [int(c == i) for c in range(ncols)]
+    directions = integer_kernel_basis(mat + [unit])
+    # a zero row stands for an empty matrix, whose kernel is everything
+    kernel = integer_kernel_basis(mat or [[0] * ncols])
+    feasible = value == 0 or any(v[i] for v in kernel)
+    if not feasible:
+        with pytest.raises(InfeasibleError):
+            min_norm_affine(mat, i, value, ncols)
+        return
+    x = min_norm_affine(mat, i, value, ncols)
+    assert all(type(a) is F for a in x)
+    assert x[i] == value
+    assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in mat)
+    assert all(sum(a * b for a, b in zip(v, x)) == 0 for v in directions)
 
 
 def test_enumerate_by_norm_examples():
@@ -154,8 +146,9 @@ def brute_force_by_norm(gram, bound):
     (Cauchy-Schwarz in the G inner product), in the search's order: last
     coordinate outermost, each ascending."""
     n = len(gram)
-    inv_diag = [solve_square(gram, [int(i == j) for j in range(n)])[i]
-                for i in range(n)]
+    red, _ = rref([list(row) + [int(i == j) for j in range(n)]
+                   for i, row in enumerate(gram)])
+    inv_diag = [red[i][n + i] for i in range(n)]
     radii = [isqrt(floor(bound * x)) for x in inv_diag]
     found = []
     for flipped in product(*(range(-r, r + 1) for r in reversed(radii))):
