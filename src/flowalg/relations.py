@@ -2,10 +2,13 @@
 from them: graded rank sequences, torsion checks, integral circulation
 lattices, and product-quotient groups.
 
-This is the definition-level oracle: each degree-j relation matrix is built
-literally by contracting every (j-1)-subset of edges and emitting one signed
-conservation row per image vertex.  Ranks of these matrices give the rank
-sequence independently of the Tutte route.
+This is the definition-level oracle: each degree-j relation matrix holds,
+for every (j-1)-subset sigma of edges, one signed conservation row per vertex
+of the contraction X/sigma, exactly as the definition states.  The image
+vertices come from the vertex classes of each edge mask, built level by level
+from the masks one edge smaller, not from a contracted graph per subset.
+Ranks of these matrices give the rank sequence independently of the Tutte
+route.
 """
 
 from __future__ import annotations
@@ -53,31 +56,58 @@ class RelationMatrix:
 
 
 def relation_matrix(g: Graph, j: int) -> RelationMatrix:
-    """Degree-j relation matrix; built by contracting each (j-1)-subset and
-    writing the conservation row of every image vertex."""
+    """Degree-j relation matrix: for each (j-1)-subset sigma, the
+    conservation row of every vertex of the contraction X/sigma.
+
+    The vertices of X/sigma are the classes of (V, sigma), each named by its
+    minimum vertex id.  They are built level by level over the masks: the
+    classes of sigma are those of sigma minus its lowest edge, joined across
+    that edge.  Rows follow ascending sigma, then ascending image vertex.
+    """
     m = g.num_edges
     require_capacity(m)
     if not 0 <= j <= m:
         raise InputError(f"degree {j} out of range 0..{m}")
     basis = tuple(subset_masks(m, j))
-    col = {mask: i for i, mask in enumerate(basis)}
-    bit = {eid: 1 << i for i, eid in enumerate(g.edge_ids)}
+    if j == 0:
+        return RelationMatrix(0, basis, (), ())
+    at = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(at[t], at[h]) for _, t, h in g.edges]
+    # classes[sigma][i]: the image of the i-th vertex in X/sigma
+    classes = {0: g.vertices}
+    for k in range(1, j):
+        level = {}
+        for sigma in subset_masks(m, k):
+            low = sigma & -sigma
+            cls = classes[sigma ^ low]
+            t, h = ends[low.bit_length() - 1]
+            a, b = cls[t], cls[h]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                cls = tuple([a if c == b else c for c in cls])
+            level[sigma] = cls
+        classes = level
+    # each surviving edge owns its own column sigma | e, so a row never
+    # gets two entries in one column and every entry is +-1; columns grow
+    # with the edge position, so every row comes out sorted
+    plus = {mask: (c, 1) for c, mask in enumerate(basis)}
+    minus = {mask: (c, -1) for c, mask in enumerate(basis)}
+    edges = [(1 << i, t, h) for i, (t, h) in enumerate(ends) if t != h]
     rows = []
     labels = []
-    for sigma in subset_masks(m, j - 1) if j >= 1 else []:
-        image = g.contract(g.ids_of(sigma)).graph
-        # each surviving edge owns its own column sigma | e, so a row never
-        # gets two entries in one column and every entry is +-1
+    for sigma, cls in classes.items():
         incident: dict[int, list[tuple[int, int]]] = {
-            v: [] for v in image.vertices}
-        for eid, tail, head in image.edges:
-            if tail == head:
+            v: [] for v in sorted(set(cls))}
+        for bit, t, h in edges:
+            if sigma & bit:
                 continue
-            c = col[sigma | bit[eid]]
-            incident[head].append((c, 1))
-            incident[tail].append((c, -1))
-        for v in image.vertices:
-            rows.append(tuple(sorted(incident[v])))
+            tail, head = cls[t], cls[h]
+            if tail != head:
+                incident[head].append(plus[sigma | bit])
+                incident[tail].append(minus[sigma | bit])
+        for v, row in incident.items():
+            rows.append(tuple(row))
             labels.append((sigma, v))
     return RelationMatrix(j, basis, tuple(rows), tuple(labels))
 

@@ -40,21 +40,17 @@ def trimmed(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _odd(mask: int) -> bool:
-    return mask.bit_count() % 2 == 1
-
-
 def _is_signed_copy(rel: RelationMatrix, ref: RelationMatrix,
                     flip_mask: int) -> bool:
     """Whether ``rel`` equals R ref D, with R and D the +-1 diagonals of the
     flip parity of each row's sigma and each column's subset."""
     if rel.row_labels != ref.row_labels:
         return False
-    col_odd = [_odd(mask & flip_mask) for mask in ref.basis]
+    col_sign = [-1 if (mask & flip_mask).bit_count() & 1 else 1
+                for mask in ref.basis]
     for (sigma, _), row, ref_row in zip(ref.row_labels, rel.rows, ref.rows):
-        row_odd = _odd(sigma & flip_mask)
-        if row != tuple((c, -v if col_odd[c] != row_odd else v)
-                        for c, v in ref_row):
+        s = -1 if (sigma & flip_mask).bit_count() & 1 else 1
+        if row != tuple([(c, v * s * col_sign[c]) for c, v in ref_row]):
             return False
     return True
 

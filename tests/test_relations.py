@@ -1,13 +1,77 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowalg.circulation import subset_masks
 from flowalg.errors import CapacityError, InputError
-from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
-                           path_graph)
+from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
+                           cycle_graph, path_graph)
 from flowalg.linalg import det_int, rank_int_rows
-from flowalg.relations import (integral_circulations, product_torsion,
-                               rank_sequence, relation_matrix, torsion_check)
+from flowalg.relations import (RelationMatrix, integral_circulations,
+                               product_torsion, rank_sequence,
+                               relation_matrix, torsion_check)
+
+
+def contraction_reference(g, j):
+    """The definition built literally: contract each (j-1)-subset into a
+    graph and write the conservation row of every image vertex."""
+    m = g.num_edges
+    basis = tuple(subset_masks(m, j))
+    col = {mask: i for i, mask in enumerate(basis)}
+    bit = {eid: 1 << i for i, eid in enumerate(g.edge_ids)}
+    rows = []
+    labels = []
+    for sigma in subset_masks(m, j - 1) if j >= 1 else []:
+        image = g.contract(g.ids_of(sigma)).graph
+        incident = {v: [] for v in image.vertices}
+        for eid, tail, head in image.edges:
+            if tail == head:
+                continue
+            c = col[sigma | bit[eid]]
+            incident[head].append((c, 1))
+            incident[tail].append((c, -1))
+        for v in image.vertices:
+            rows.append(tuple(sorted(incident[v])))
+            labels.append((sigma, v))
+    return RelationMatrix(j, basis, tuple(rows), tuple(labels))
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with loops, parallel edges and isolated vertices, possibly
+    disconnected, with vertex and edge ids in no particular order."""
+    vertices = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6,
+                             unique=True))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)), max_size=7))
+    eids = draw(st.lists(st.integers(0, 60), min_size=len(ends),
+                         max_size=len(ends), unique=True))
+    return Graph(tuple(vertices),
+                 tuple((e, t, h) for e, (t, h) in zip(eids, ends)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_relation_matrix_matches_contraction_reference(g):
+    for j in range(g.num_edges + 1):
+        assert relation_matrix(g, j) == contraction_reference(g, j)
+
+
+def test_relation_matrix_matches_reference_on_a_mixed_multigraph():
+    # two components, a loop, a parallel pair, isolated vertices, and
+    # vertex ids out of order
+    g = Graph((9, 4, 12, 1, 7, 3, 20),
+              ((5, 9, 4), (2, 4, 9), (8, 4, 12), (1, 12, 9), (6, 12, 12),
+               (3, 1, 7), (4, 7, 1)))
+    for j in range(g.num_edges + 1):
+        assert relation_matrix(g, j) == contraction_reference(g, j)
+
+
+def test_relation_matrix_matches_reference_on_corpus5(corpus5):
+    for g in corpus5:
+        for j in range(g.num_edges + 1):
+            assert relation_matrix(g, j) == contraction_reference(g, j)
 
 
 def test_relation_matrix_degree_zero_is_empty():

@@ -1,10 +1,42 @@
 import importlib
 
-from flowalg.graph import bouquet_graph, complete_graph, dipole_graph
-from flowalg.relations import RelationMatrix
-from flowalg.verify import orientation_invariance
+from flowalg.graph import (Graph, bouquet_graph, complete_graph,
+                           dipole_graph)
+from flowalg.relations import RelationMatrix, relation_matrix
+from flowalg.verify import _is_signed_copy, orientation_invariance
 
 verify = importlib.import_module("flowalg.verify")
+
+# a parallel pair, a loop and a triangle
+MIXED = Graph((1, 2, 3), ((1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 3, 1),
+                          (5, 3, 3)))
+
+
+def test_signed_copy_rejects_one_wrong_sign():
+    flip_mask = 0b01010
+    g2 = MIXED.reorient(MIXED.ids_of(flip_mask))
+    for j in range(1, MIXED.num_edges):
+        ref = relation_matrix(MIXED, j)
+        rel = relation_matrix(g2, j)
+        i = next(i for i, row in enumerate(rel.rows) if row)
+        (c, v), *rest = rel.rows[i]
+        bad_rows = rel.rows[:i] + (((c, -v), *rest),) + rel.rows[i + 1:]
+        bad = RelationMatrix(rel.degree, rel.basis, bad_rows, rel.row_labels)
+        assert _is_signed_copy(rel, ref, flip_mask)
+        assert not _is_signed_copy(bad, ref, flip_mask)
+
+
+def test_signed_copy_rejects_swapped_row_labels():
+    flip_mask = 0b00110
+    g2 = MIXED.reorient(MIXED.ids_of(flip_mask))
+    for j in range(1, MIXED.num_edges + 1):
+        ref = relation_matrix(MIXED, j)
+        rel = relation_matrix(g2, j)
+        labels = list(rel.row_labels)
+        labels[0], labels[-1] = labels[-1], labels[0]
+        bad = RelationMatrix(rel.degree, rel.basis, rel.rows, tuple(labels))
+        assert _is_signed_copy(rel, ref, flip_mask)
+        assert not _is_signed_copy(bad, ref, flip_mask)
 
 
 def test_orientation_invariance_holds_on_small_graphs():
