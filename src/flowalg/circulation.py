@@ -172,11 +172,13 @@ class Circulation:
         """Whether every sparse relation row (column index -> coefficient,
         columns indexing ``basis_masks``) pairs to zero with this table."""
         ring = self.ring
+        table = self.table
         for row in rows:
             acc = ring.coerce(0)
             for col, coef in row.items():
-                acc = ring.add(acc, ring.mul(ring.coerce(coef),
-                                             self.value(basis_masks[col])))
+                val = table.get(basis_masks[col])
+                if val is not None:  # absent keys are zero
+                    acc = ring.add(acc, ring.mul(ring.coerce(coef), val))
             if acc != 0:
                 return False
         return True

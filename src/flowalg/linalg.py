@@ -95,7 +95,7 @@ def rank_int_rows(rows: list[dict[int, int]], ncols: int) -> int:
 
     Fraction-free: rows are combined by cross-multiplication and reduced by
     their gcd, so entries stay integral and small for incidence-like input.
-    The input rows are consumed.
+    The input rows are copied, not changed.
     """
     rows = [dict(r) for r in rows if r]
     by_col: dict[int, set[int]] = {}
@@ -184,42 +184,22 @@ def det_int(mat: list[list[int]]) -> int:
 # -- Smith normal form ----------------------------------------------------
 
 
-def smith_normal_form(mat: list[list[int]], transforms: bool = False):
-    """Invariant factors of an integer matrix.
-
-    Returns the list of nonzero invariant factors ``d_1 | d_2 | ...``;
-    with ``transforms=True`` returns ``(factors, U, V)`` where
-    ``U @ mat @ V`` is the diagonal Smith form.
-    """
+def smith_normal_form(mat: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors ``d_1 | d_2 | ...`` of an integer matrix."""
     a = [list(row) for row in mat]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    # the transforms are tracked only when asked for: U alone has nr^2
-    # entries, and relation matrices have far more rows than columns
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else []
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else []
 
     def row_op(i, j, q):  # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if transforms:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
-        for r in range(nr):
-            a[r][i] -= q * a[r][j]
-        for r in range(len(v)):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if transforms:
-            u[i], u[j] = u[j], u[i]
+        for row in a:
+            row[i] -= q * row[j]
 
     def swap_cols(i, j):
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(len(v)):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     size = min(nr, nc)
@@ -237,7 +217,7 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
                 break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         dirty = True
         while dirty:
@@ -247,7 +227,7 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
                     q = a[i][t] // a[t][t]
                     row_op(i, t, q)
                     if a[i][t] != 0:  # remainder smaller than pivot
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, nc):
                 if a[t][j] != 0:
@@ -268,30 +248,23 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
         if offender is not None:
             row_op(t, offender, -1)  # adds the offending row to row t
             continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            if transforms:
-                u[t] = [-x for x in u[t]]
         t += 1
-
-    factors = [a[i][i] for i in range(t) if a[i][i] != 0]
-    if transforms:
-        return factors, u, v
-    return factors
+    return [abs(a[i][i]) for i in range(t) if a[i][i] != 0]
 
 
 def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel ``{x : mat @ x = 0}`` in Hermite-style
-    echelon form (reproducible)."""
+    """Basis of the integer kernel ``{x : mat @ x = 0}`` in row Hermite form.
+
+    One :func:`hermite_rows` of ``[mat^T | I]``: its rows span the same
+    lattice as the unimodular ``[mat^T | I]``, so those with a zero left
+    block are a basis of the kernel, and they come out in Hermite form,
+    which is unique for the lattice.  An empty ``mat`` has no columns.
+    """
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
-    if nr == 0:
-        return hermite_rows([[int(i == j) for j in range(nc)]
-                             for i in range(nc)])
-    factors, _, v = smith_normal_form(mat, transforms=True)
-    r = len(factors)
-    basis = [[v[row][col] for row in range(nc)] for col in range(r, nc)]
-    return hermite_rows(basis)
+    aug = [[row[c] for row in mat] + [int(c == k) for k in range(nc)]
+           for c in range(nc)]
+    return [row[nr:] for row in hermite_rows(aug) if not any(row[:nr])]
 
 
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:

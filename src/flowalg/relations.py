@@ -14,14 +14,12 @@ route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .circulation import Circulation, ZZ, subset_masks
-from .errors import InputError, require_capacity
+from .errors import InputError, check_failed, require_capacity
 from .graph import Graph
-from .linalg import (integer_kernel_basis, rank_int_rows, rref,
-                     smith_normal_form)
+from .linalg import integer_kernel_basis, rank_int_rows, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,7 @@ def integral_circulations(g: Graph, j: int) -> list[tuple[int, ...]]:
     """Basis of the integer kernel of the degree-j relation matrix, in
     Hermite-style echelon form; coordinates follow the subset basis."""
     rel = relation_matrix(g, j)
-    dense = [row for row in rel.dense() if any(row)]
-    if not dense:
-        basis = [[int(a == b) for a in range(rel.num_columns)]
-                 for b in range(rel.num_columns)]
-        return [tuple(v) for v in basis]
+    dense = [row for row in rel.dense() if any(row)] or [[0] * rel.num_columns]
     return [tuple(v) for v in integer_kernel_basis(dense)]
 
 
@@ -158,6 +152,11 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     """Invariant factors (> 1) of the degree-(i+j) integer circulation
     lattice modulo products of degree-i and degree-j lattice elements.
 
+    The lattice L is an integer kernel, so it is saturated and a direct
+    summand of Z^N on the degree-(i+j) subset basis; the torsion of L / S
+    is therefore that of Z^N / S, the Smith form of the product rows.
+    Each product is checked to annihilate the degree-(i+j) relations.
+
     Degenerate degrees (rank-zero lattice, e.g. any forest) yield the
     trivial group, reported as an empty tuple.
     """
@@ -167,8 +166,10 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     require_capacity(m)
     if i + j > m:
         return ()
-    basis_hi = integral_circulations(g, i + j)
-    if not basis_hi:
+    rel = relation_matrix(g, i + j)
+    relations = rel.sparse_rows()
+    d = rel.num_columns - rank_int_rows(relations, rel.num_columns)
+    if not d:
         return ()
     low_i = [circulation_from_coords(g, i, v)
              for v in integral_circulations(g, i)]
@@ -177,40 +178,17 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
               for v in integral_circulations(g, j)])
     if not low_i or not low_j:
         return ()
-    masks_hi = subset_masks(m, i + j)
     products = []
     for phi in low_i:
         for theta in low_j:
             prod = phi * theta
-            products.append([int(prod.value(mask)) for mask in masks_hi])
-    coeff_cols = _coordinates_in_basis(basis_hi, products)
-    d = len(basis_hi)
-    coeff = [[coeff_cols[p][r] for p in range(len(products))]
-             for r in range(d)]
-    factors = smith_normal_form(coeff)
+            if not prod.annihilates(relations, rel.basis):
+                raise check_failed(g, "product membership",
+                                   f"a product of degrees {i} and {j} is "
+                                   f"not a degree-{i + j} circulation")
+            products.append([prod.value(mask) for mask in rel.basis])
+    factors = smith_normal_form(products)
     if len(factors) != d:
         raise InputError("product subgroup has infinite index; "
                          "the quotient is not a finite group")
     return tuple(f for f in factors if f != 1)
-
-
-def _coordinates_in_basis(basis: list[tuple[int, ...]],
-                          vectors: list[list[int]]) -> list[list[int]]:
-    """Integer coordinates of each vector in the given lattice basis."""
-    ncols = len(basis[0])
-    d = len(basis)
-    aug = [[Fraction(basis[r][c]) for r in range(d)]
-           + [Fraction(vec[c]) for vec in vectors]
-           for c in range(ncols)]
-    red, pivots = rref(aug)
-    if any(p >= d for p in pivots):
-        raise InputError("vector outside the lattice span")
-    coords = []
-    for pidx in range(len(vectors)):
-        coord = [Fraction(0)] * d
-        for r, p in enumerate(pivots):
-            coord[p] = red[r][d + pidx]
-        if any(x.denominator != 1 for x in coord):
-            raise InputError("vector not integral in the lattice basis")
-        coords.append([int(x) for x in coord])
-    return coords

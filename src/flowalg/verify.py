@@ -7,17 +7,23 @@ reversing the edges in a flip set F negates an entry of row (sigma, v) at
 column c exactly when c and sigma differ in an odd number of edges of F, so
 a faithful rebuild equals R M D for +-1 diagonals R and D and has the
 reference rank, which was computed by exact elimination.  A rebuilt matrix
-of any other form is ranked by exact elimination itself.  No floating point
-is involved anywhere.
+of any other form is ranked by exact elimination itself.
+
+Re-orienting keeps the maximal forest and the chords, and each basic flow
+becomes s_c D beta_c, with D the +-1 diagonal of the flips and s_c = -1
+exactly when the chord c is flipped.  So a faithful Gram matrix is S G S for
+the known +-1 diagonal S of the flipped chords, which defines an isometric
+lattice and hence the same theta series; a Gram of any other form has its
+theta series enumerated and compared.  No floating point is involved
+anywhere.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, lcm
 
-from .circulation import (Circulation, QQ, _poly_mul, basic_flow_circulations,
+from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           subset_masks, verify_inequalities)
 from .errors import CheckError, FlowAlgError
@@ -66,38 +72,6 @@ def _same_rank_sequence(g2: Graph, refs: list[RelationMatrix],
                 and rank_int_rows(rel.sparse_rows(), rel.num_columns)
                 != rel.num_columns - ref_d[j]):
             return False
-    return True
-
-
-def _signed_diag_equivalent(g1, g2) -> bool:
-    """Whether g2 == D g1 D for a +-1 diagonal D; such Gram matrices define
-    isometric lattices, hence equal theta series."""
-    n = len(g1)
-    if len(g2) != n:
-        return False
-    sign = [0] * n
-    for start in range(n):
-        if sign[start]:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            h = stack.pop()
-            for k in range(n):
-                if k == h or g1[h][k] == 0:
-                    continue
-                if abs(g1[h][k]) != abs(g2[h][k]):
-                    return False
-                s = sign[h] * (1 if g1[h][k] == g2[h][k] else -1)
-                if sign[k] == 0:
-                    sign[k] = s
-                    stack.append(k)
-                elif sign[k] != s:
-                    return False
-    for h in range(n):
-        for k in range(n):
-            if g2[h][k] != sign[h] * sign[k] * g1[h][k]:
-                return False
     return True
 
 
@@ -252,7 +226,9 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
                            theta_bound=12) -> bool:
     """Re-run the pipeline on randomly re-oriented copies and demand
     identical rank sequence, Tutte specialization, Gram determinant and
-    theta series.  Exact throughout (see module docstring).
+    theta series.  Exact throughout (see module docstring): the theta
+    series are enumerated only for a Gram matrix that is not S G S, with S
+    the +-1 diagonal of the flipped chords.
 
     A trial whose re-oriented copy equals one already checked (the same
     flips, or flips that differ only on loops) is not run again: every
@@ -261,7 +237,7 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref_lat = lattice(g)
-    ref_theta = None  # computed only if a sign-equivalence check fails
+    ref_theta = None  # computed only if a Gram fails the sign rule
     refs = [relation_matrix(g, j) for j in range(g.num_edges + 1)]
     rng = random.Random(seed)
     ids = list(g.edge_ids)
@@ -279,8 +255,10 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
         lat2 = lattice(g2)
         if lat2.determinant != ref_lat.determinant:
             return False
-        if not _signed_diag_equivalent(ref_lat.gram, lat2.gram):
-            # inconclusive fast path: compare the series directly
+        sign = [-1 if c in flip else 1 for c in ref_lat.chords]
+        if lat2.gram != tuple(tuple(s * t * x for t, x in zip(sign, row))
+                              for s, row in zip(sign, ref_lat.gram)):
+            # not the expected signed copy: compare the series directly
             if ref_theta is None:
                 ref_theta = theta_enumerate(g, theta_bound)
             if theta_enumerate(g2, theta_bound) != ref_theta:
@@ -291,48 +269,26 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
 def multiplication_rank_check(g: Graph) -> bool:
     """Rank of multiplication by the staggered-coefficient flow power from
     degree j into the complementary degree equals d_j, for every j up to the
-    middle."""
+    middle.  The divided power phi^s / s! has the rank of phi^s, so the
+    images are ranked over the integers."""
     d = trimmed(poincare(g))
     top = len(d) - 1
     m = g.num_edges
-    flows = basic_flow_circulations(g, QQ)
-    chords = sorted(flows)
-    phi = Circulation(QQ, {})
-    for i, c in enumerate(chords, start=1):
+    flows = basic_flow_circulations(g)
+    phi = Circulation(ZZ, {})
+    for i, c in enumerate(sorted(flows), start=1):
         phi = phi + flows[c].scale(3 ** i)
     for j in range(top // 2 + 1):
-        s = top - 2 * j
-        power = Circulation.unit(QQ)
-        for _ in range(s):
+        power = Circulation.unit(ZZ)
+        for _ in range(top - 2 * j):
             power = power * phi
-        power = power.scale(Fraction(1, factorial(s)))
-        basis = [circulation_from_coords(g, j, vec, QQ)
-                 for vec in integral_circulations(g, j)]
-        masks = subset_masks(m, top - j)
-        col = {mask: i for i, mask in enumerate(masks)}
-        rows = []
-        for theta in basis:
-            image = theta * power
-            dense = [Fraction(0)] * len(masks)
-            for mask, val in image.table.items():
-                if mask in col:
-                    dense[col[mask]] = val
-            rows.append(dense)
-        want = d[j] if j < len(d) else 0
-        got = _rank_fractions(rows)
-        if got != want:
+        col = {mask: i for i, mask in enumerate(subset_masks(m, top - j))}
+        rows = [{col[mask]: v for mask, v in
+                 (circulation_from_coords(g, j, vec) * power).table.items()}
+                for vec in integral_circulations(g, j)]
+        if rank_int_rows(rows, len(col)) != d[j]:
             return False
     return True
-
-
-def _rank_fractions(rows) -> int:
-    if not rows:
-        return 0
-    scaled = []
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        scaled.append({i: int(x * denom) for i, x in enumerate(row) if x})
-    return rank_int_rows(scaled, len(rows[0]))
 
 
 # -- corpus runner -----------------------------------------------------------

@@ -25,16 +25,9 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[0, 0], [0, 0]]) == []
 
 
-def test_smith_transforms_consistent():
-    mat = [[4, 2, 8], [2, 8, 6], [10, 2, 0]]
-    factors, u, v = smith_normal_form(mat, transforms=True)
-    n = len(mat)
-    prod = [[sum(u[i][a] * mat[a][b] * v[b][j] for a in range(n)
-                 for b in range(n)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            expect = factors[i] if i == j and i < len(factors) else 0
-            assert prod[i][j] == expect
+def test_smith_factors_divisibility_chain():
+    factors = smith_normal_form([[4, 2, 8], [2, 8, 6], [10, 2, 0]])
+    assert factors == [2, 2, 134]
     for i in range(len(factors) - 1):
         assert factors[i + 1] % factors[i] == 0
 
@@ -66,6 +59,25 @@ def test_hermite_rows_normalizes():
     rows = hermite_rows([[0, 3], [2, 1]])
     assert rows[0][0] > 0
     assert 0 <= rows[0][1] < rows[1][1] or rows[1][1] == 0 or rows[0][1] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5)))
+@example([[0, 0, 0]])
+@example([[2, 4, 6], [0, 0, 0]])
+def test_integer_kernel_basis_property(mat):
+    """The basis annihilates the matrix, has ncols - rank rows, is in
+    Hermite form and spans a saturated lattice (every Smith factor 1)."""
+    ncols = len(mat[0])
+    basis = integer_kernel_basis(mat)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0
+               for row in mat for v in basis)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    assert len(basis) == ncols - rank_int_rows(rows, ncols)
+    assert hermite_rows(basis) == basis
+    assert all(f == 1 for f in smith_normal_form(basis))
 
 
 def test_min_norm_affine_examples():

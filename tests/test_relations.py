@@ -1,16 +1,17 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowalg.circulation import subset_masks
-from flowalg.errors import CapacityError, InputError
+from flowalg.circulation import Circulation, subset_masks
+from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
                            cycle_graph, path_graph)
-from flowalg.linalg import det_int, rank_int_rows
-from flowalg.relations import (RelationMatrix, integral_circulations,
-                               product_torsion, rank_sequence,
-                               relation_matrix, torsion_check)
+from flowalg.linalg import det_int, rank_int_rows, rref, smith_normal_form
+from flowalg.relations import (RelationMatrix, circulation_from_coords,
+                               integral_circulations, product_torsion,
+                               rank_sequence, relation_matrix, torsion_check)
 
 
 def contraction_reference(g, j):
@@ -165,6 +166,65 @@ def test_product_torsion_forest_trivial():
 def test_product_torsion_input_validation():
     with pytest.raises(InputError):
         product_torsion(cycle_graph(3), 0, 1)
+
+
+def coordinate_reference(g, i, j):
+    """The product quotient by the coordinate route: each product's
+    rational coordinates in the Hermite basis of the degree-(i+j) lattice,
+    required integral, then the Smith form of the coefficient matrix."""
+    if i + j > g.num_edges:
+        return ()
+    basis = integral_circulations(g, i + j)
+    low_i = [circulation_from_coords(g, i, v)
+             for v in integral_circulations(g, i)]
+    low_j = [circulation_from_coords(g, j, v)
+             for v in integral_circulations(g, j)]
+    if not basis or not low_i or not low_j:
+        return ()
+    masks = subset_masks(g.num_edges, i + j)
+    products = [[(phi * theta).value(mask) for mask in masks]
+                for phi in low_i for theta in low_j]
+    d = len(basis)
+    red, pivots = rref([[Fraction(b[c]) for b in basis]
+                        + [Fraction(p[c]) for p in products]
+                        for c in range(len(masks))])
+    assert pivots == list(range(d))  # every product in the basis span
+    coeff = [red[r][d:] for r in range(d)]
+    assert all(x.denominator == 1 for row in coeff for x in row)
+    factors = smith_normal_form([[int(x) for x in row] for row in coeff])
+    assert len(factors) == d  # finite index
+    return tuple(f for f in factors if f != 1)
+
+
+def test_product_torsion_matches_coordinate_reference(corpus5):
+    for g in corpus5:
+        m = g.num_edges
+        for i in range(1, m + 1):
+            for j in range(i, m + 1 - i):
+                assert (product_torsion(g, i, j)
+                        == coordinate_reference(g, i, j)), (g, i, j)
+
+
+def test_product_torsion_k4_values():
+    k4 = complete_graph(4)
+    pinned = {(1, 1): (2, 2, 2), (1, 2): (3, 3, 3), (1, 3): (2, 2),
+              (2, 2): (3, 3, 3, 3, 3)}
+    for i in range(1, 7):
+        for j in range(i, 7 - i):
+            assert product_torsion(k4, i, j) == pinned.get((i, j), ()), (i, j)
+
+
+def test_product_leaving_the_lattice_is_a_check_failure(monkeypatch):
+    real = Circulation.__mul__
+
+    def off_lattice(self, other):
+        prod = real(self, other)
+        mask = min(prod.table)
+        return prod + Circulation(prod.ring, {mask: 1})
+
+    monkeypatch.setattr(Circulation, "__mul__", off_lattice)
+    with pytest.raises(CheckError, match="product membership"):
+        product_torsion(cycle_graph(3), 1, 1)
 
 
 def test_rank_additivity_on_relation_route():

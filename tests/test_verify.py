@@ -2,9 +2,11 @@ import importlib
 
 from flowalg.graph import (Graph, bouquet_graph, complete_graph,
                            dipole_graph)
+from flowalg.lattice import FlowLattice
 from flowalg.relations import RelationMatrix, relation_matrix
 from flowalg.verify import _is_signed_copy, orientation_invariance
 
+lattice_mod = importlib.import_module("flowalg.lattice")
 verify = importlib.import_module("flowalg.verify")
 
 # a parallel pair, a loop and a triangle
@@ -85,3 +87,63 @@ def test_orientation_invariance_ranks_other_forms_exactly(monkeypatch):
     monkeypatch.setattr(verify, "rank_int_rows", spy)
     assert orientation_invariance(g, trials=5, seed=1)
     assert ranked
+
+
+def _spy_theta(monkeypatch):
+    calls = []
+    real = verify.theta_enumerate
+
+    def spy(h, bound):
+        calls.append(h)
+        return real(h, bound)
+
+    monkeypatch.setattr(verify, "theta_enumerate", spy)
+    return calls
+
+
+def test_reoriented_gram_follows_the_sign_rule(corpus5, monkeypatch):
+    # Every flip keeps the forest, so each Gram is S G S for the diagonal
+    # of flipped chords and no theta series needs enumerating.
+    calls = _spy_theta(monkeypatch)
+    for g in corpus5:
+        assert orientation_invariance(g, trials=10, seed=3)
+    assert calls == []
+
+
+def test_permuted_gram_passes_through_the_theta_fallback(monkeypatch):
+    # A permuted Gram is isometric but not S G S: the series decide.
+    g = complete_graph(4)
+    real = verify.lattice
+
+    def permuted(h):
+        lat = real(h)
+        if h.edges == g.edges:
+            return lat
+        return FlowLattice(lat.chords[::-1], lat.basis[::-1],
+                           tuple(row[::-1] for row in lat.gram[::-1]),
+                           lat.determinant)
+
+    monkeypatch.setattr(verify, "lattice", permuted)
+    calls = _spy_theta(monkeypatch)
+    assert orientation_invariance(g, trials=5, seed=1)
+    assert calls
+
+
+def test_equal_determinant_non_isometric_gram_is_rejected(monkeypatch):
+    # A 2-cycle and a triangle at one vertex: Gram diag(2, 3).  diag(1, 6)
+    # has the same determinant but a vector of norm 1.
+    g = Graph((1, 2, 3, 4), ((1, 1, 2), (2, 2, 1), (3, 1, 3), (4, 3, 4),
+                             (5, 4, 1)))
+    real = lattice_mod.lattice
+    assert real(g).gram == ((2, 0), (0, 3))
+
+    def fake(h):
+        lat = real(h)
+        if h.edges == g.edges:
+            return lat
+        return FlowLattice(lat.chords, lat.basis, ((1, 0), (0, 6)),
+                           lat.determinant)
+
+    monkeypatch.setattr(verify, "lattice", fake)
+    monkeypatch.setattr(lattice_mod, "lattice", fake)
+    assert not orientation_invariance(g, trials=5, seed=1)
