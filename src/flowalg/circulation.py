@@ -169,13 +169,14 @@ class Circulation:
         return f"Circulation({self.ring}, {self.table!r})"
 
     def annihilates(self, rows, basis_masks) -> bool:
-        """Whether every sparse relation row (column index -> coefficient,
-        columns indexing ``basis_masks``) pairs to zero with this table."""
+        """Whether every sparse relation row, a sequence of (column index,
+        coefficient) pairs with columns indexing ``basis_masks``, pairs to
+        zero with this table."""
         ring = self.ring
         table = self.table
         for row in rows:
             acc = ring.coerce(0)
-            for col, coef in row.items():
+            for col, coef in row:
                 val = table.get(basis_masks[col])
                 if val is not None:  # absent keys are zero
                     acc = ring.add(acc, ring.mul(ring.coerce(coef), val))
@@ -267,10 +268,10 @@ def nilpotence(phi: Circulation) -> int:
 # -- monomials of basic flows ----------------------------------------------
 
 
-def basic_flow_circulations(g: Graph, ring: Ring = ZZ) -> dict[int, Circulation]:
-    """Chord id -> degree-1 circulation of its basic flow."""
+def basic_flow_circulations(g: Graph) -> dict[int, Circulation]:
+    """Chord id -> degree-1 integer circulation of its basic flow."""
     forest = g.maximal_forest()
-    return {c: Circulation.from_edge_vector(ring, g.basic_flow(forest, c))
+    return {c: Circulation.from_edge_vector(ZZ, g.basic_flow(forest, c))
             for c in g.chords(forest)}
 
 
@@ -317,7 +318,7 @@ def monomial_dimensions(g: Graph) -> list[int]:
             if not prod.is_zero():
                 rows.append({cols[mask]: int(v)
                              for mask, v in prod.table.items()})
-        dims.append(rank_int_rows(rows, len(cols)))
+        dims.append(rank_int_rows(rows))
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
     return dims

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+from .errors import InputError
 from .graph import Graph, build
 
 
@@ -74,6 +75,8 @@ _cache: dict[int, list[Graph]] = {}
 def connected_multigraphs(max_edges: int) -> list[Graph]:
     """All connected multigraphs with at most ``max_edges`` edges, one
     representative per isomorphism class, ordered by edge count."""
+    if max_edges < 0:
+        raise InputError(f"edge bound {max_edges} is negative")
     if max_edges in _cache:
         return _cache[max_edges]
     base = max((k for k in _cache if k < max_edges), default=None)

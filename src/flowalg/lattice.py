@@ -61,7 +61,6 @@ class CharacteristicFlow:
 @dataclass(frozen=True)
 class CosetSystem:
     chords: tuple[int, ...]                       # in the order they were taken
-    char_flows: tuple[tuple[Fraction, ...], ...]  # zero-extended into X
     indices: tuple[int, ...]
     rescaled: tuple[tuple[int, ...], ...]         # phi_i = r_i * chi_i
     weights: tuple[int, ...]                      # w_i = <phi_i, phi_i>
@@ -199,33 +198,29 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
     """
     forest = g.maximal_forest()
     remaining = list(g.chords(forest))
-    chords, indices, char_flows = [], [], []
+    chords, indices, rescaled = [], [], []
     sub = g
     while remaining:
         r, c, flow = _next_chord(sub, remaining, greedy)
         remaining.remove(c)
-        extended = [Fraction(0)] * g.num_edges
-        for other_eid in sub.edge_ids:
-            extended[g.position(other_eid)] = flow.chi[sub.position(other_eid)]
+        # phi = r * chi, zero on the chords deleted before this one
+        phi = [0] * g.num_edges
+        for eid, x in zip(sub.edge_ids, flow.chi):
+            x *= r
+            if x.denominator != 1:
+                raise check_failed(g, "index rescaling",
+                                   "rescaled flow has a non-integer entry")
+            phi[g.position(eid)] = int(x)
         chords.append(c)
         indices.append(r)
-        char_flows.append(tuple(extended))
+        rescaled.append(tuple(phi))
         sub = sub.delete([c])
     expected = prod(indices)
     if expected > errors.MAX_COSET_REPRESENTATIVES:
         raise CapacityError(
             f"coset system needs {expected} representatives; at most "
             f"{errors.MAX_COSET_REPRESENTATIVES} are supported")
-    rescaled = []
-    weights = []
-    for r, chi in zip(indices, char_flows):
-        phi = [x * r for x in chi]
-        if any(x.denominator != 1 for x in phi):
-            raise check_failed(g, "index rescaling",
-                               "rescaled flow has a non-integer entry")
-        phi = [int(x) for x in phi]
-        rescaled.append(tuple(phi))
-        weights.append(_dot(phi, phi))
+    weights = [_dot(phi, phi) for phi in rescaled]
     for h in range(len(rescaled)):
         for k in range(h + 1, len(rescaled)):
             if _dot(rescaled[h], rescaled[k]) != 0:
@@ -247,8 +242,8 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
         raise check_failed(
             g, "weight identity", f"product of weights {prod_w} != "
             f"forest count {kappa} times {expected}^2")
-    return CosetSystem(tuple(chords), tuple(char_flows), tuple(indices),
-                       tuple(rescaled), tuple(weights), tuple(reps))
+    return CosetSystem(tuple(chords), tuple(indices), tuple(rescaled),
+                       tuple(weights), tuple(reps))
 
 
 def theta_product(g: Graph, bound) -> QSeries:

@@ -2,8 +2,9 @@
 
 Everything here is exact: matrices hold Python ints or ``Fraction``s and no
 floating point enters any code path.  Dense routines are adequate at the
-working scale (tens of rows and columns); the sparse integer elimination in
-:func:`rank_int_rows` is the hot path for relation-matrix ranks.
+working scale (tens of rows and columns).  The relation matrices and the
+monomial evaluation matrices are ranked by :func:`rank_int_rows`, a sparse
+row-by-row echelon reduction in integers.
 
 Minimum-norm points come from one orthogonal projection onto a kernel,
 computed by a single :func:`rref` of the Gram system mat mat^T; on an
@@ -87,75 +88,44 @@ def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
     return [x * scale for x in proj]
 
 
-# -- sparse fraction-free integer elimination ------------------------------
+# -- sparse fraction-free integer rank ------------------------------------
 
 
-def rank_int_rows(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank of an integer matrix given as sparse rows (column -> value).
+def rank_int_rows(rows) -> int:
+    """Rank of an integer matrix given as sparse rows: dicts (column ->
+    value) or sequences of (column, value) pairs, every stored value nonzero.
 
-    Fraction-free: rows are combined by cross-multiplication and reduced by
-    their gcd, so entries stay integral and small for incidence-like input.
-    The input rows are copied, not changed.
+    Row-by-row echelon reduction.  Each row's lowest column is cleared
+    against the pivot row that owns it, fraction-free: both leading values
+    are divided by their gcd, then the rows are cross-multiplied.  A row
+    whose lowest column has no pivot row is divided by the gcd of its
+    entries and becomes that column's pivot row; the rank is the number of
+    pivot rows.  The input rows are copied, not changed.
     """
-    rows = [dict(r) for r in rows if r]
-    by_col: dict[int, set[int]] = {}
-    for idx, row in enumerate(rows):
-        for c in row:
-            by_col.setdefault(c, set()).add(idx)
-    alive = set(range(len(rows)))
-    rnk = 0
-    while alive:
-        # cheapest pivot: unit value if possible, then sparsest row
-        best = None
-        for idx in alive:
-            row = rows[idx]
-            nnz = len(row)
-            has_unit = any(abs(v) == 1 for v in row.values())
-            key = (not has_unit, nnz)
-            if best is None or key < best[0]:
-                best = (key, idx)
-                if key == (False, 1):
-                    break
-        idx = best[1]
-        row = rows[idx]
-        alive.discard(idx)
-        rnk += 1
-        pc, pv = min(
-            ((c, v) for c, v in row.items()),
-            key=lambda cv: (abs(cv[1]) != 1, len(by_col.get(cv[0], ())), cv[0]))
-        for other_idx in list(by_col.get(pc, ())):
-            if other_idx == idx or other_idx not in alive:
-                continue
-            other = rows[other_idx]
-            f = other[pc]
-            g = gcd(f, pv)
-            mult_o, mult_p = pv // g, f // g
-            for c, v in row.items():
-                nv = other.get(c, 0) * mult_o - mult_p * v
-                if nv:
-                    other[c] = nv
-                    by_col.setdefault(c, set()).add(other_idx)
-                else:
-                    if c in other:
-                        del other[c]
-                        by_col[c].discard(other_idx)
-            if mult_o != 1:
-                for c in [c for c in other if c not in row]:
-                    other[c] *= mult_o
-            if other:
-                g = 0
-                for v in other.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                g = gcd(*row.values())
                 if g > 1:
-                    for c in other:
-                        other[c] //= g
-            else:
-                alive.discard(other_idx)
-        for c in row:
-            by_col[c].discard(idx)
-    return rnk
+                    row = {k: v // g for k, v in row.items()}
+                pivots[c] = row
+                break
+            g = gcd(row[c], piv[c])
+            a, b = row[c] // g, piv[c] // g
+            if b != 1:
+                for k in row:
+                    row[k] *= b
+            for k, v in piv.items():
+                nv = row.get(k, 0) - a * v
+                if nv:
+                    row[k] = nv
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def det_int(mat: list[list[int]]) -> int:

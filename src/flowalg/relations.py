@@ -27,17 +27,15 @@ class RelationMatrix:
     """Signed incidence relations of all (j-1)-fold contractions, expressed
     over the degree-j subset basis.
 
-    ``rows[i]`` is sparse (column index -> coefficient) and labeled by
-    ``row_labels[i] = (sigma mask, image vertex)``; zero rows are kept so
-    the generating set matches the definition row for row.
+    ``rows[i]`` is a sparse tuple of (column index, coefficient) pairs,
+    columns ascending, labeled by ``row_labels[i] = (sigma mask, image
+    vertex)``; zero rows are kept so the generating set matches the
+    definition row for row.
     """
     degree: int
     basis: tuple[int, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple[tuple[int, int], ...]
-
-    def sparse_rows(self) -> list[dict[int, int]]:
-        return [dict(r) for r in self.rows]
 
     def dense(self) -> list[list[int]]:
         out = []
@@ -117,7 +115,7 @@ def rank_sequence(g: Graph) -> tuple[int, ...]:
     out = []
     for j in range(m + 1):
         rel = relation_matrix(g, j)
-        rnk = rank_int_rows(rel.sparse_rows(), rel.num_columns)
+        rnk = rank_int_rows(rel.rows)
         out.append(comb(m, j) - rnk)
     return tuple(out)
 
@@ -140,12 +138,11 @@ def integral_circulations(g: Graph, j: int) -> list[tuple[int, ...]]:
     return [tuple(v) for v in integer_kernel_basis(dense)]
 
 
-def circulation_from_coords(g: Graph, j: int,
-                            coords, ring=ZZ) -> Circulation:
-    """Wrap a coordinate vector over the degree-j subset basis as a
-    circulation table."""
+def circulation_from_coords(g: Graph, j: int, coords) -> Circulation:
+    """Wrap an integer coordinate vector over the degree-j subset basis as a
+    circulation table over Z."""
     masks = subset_masks(g.num_edges, j)
-    return Circulation(ring, {mask: c for mask, c in zip(masks, coords) if c})
+    return Circulation(ZZ, {mask: c for mask, c in zip(masks, coords) if c})
 
 
 def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
@@ -167,8 +164,7 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     if i + j > m:
         return ()
     rel = relation_matrix(g, i + j)
-    relations = rel.sparse_rows()
-    d = rel.num_columns - rank_int_rows(relations, rel.num_columns)
+    d = rel.num_columns - rank_int_rows(rel.rows)
     if not d:
         return ()
     low_i = [circulation_from_coords(g, i, v)
@@ -182,7 +178,7 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     for phi in low_i:
         for theta in low_j:
             prod = phi * theta
-            if not prod.annihilates(relations, rel.basis):
+            if not prod.annihilates(rel.rows, rel.basis):
                 raise check_failed(g, "product membership",
                                    f"a product of degrees {i} and {j} is "
                                    f"not a degree-{i + j} circulation")

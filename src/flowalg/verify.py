@@ -26,7 +26,7 @@ from fractions import Fraction
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           subset_masks, verify_inequalities)
-from .errors import CheckError, FlowAlgError
+from .errors import CheckError, FlowAlgError, InputError
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
@@ -69,8 +69,7 @@ def _same_rank_sequence(g2: Graph, refs: list[RelationMatrix],
     for j, ref in enumerate(refs):
         rel = relation_matrix(g2, j)
         if (not _is_signed_copy(rel, ref, flip_mask)
-                and rank_int_rows(rel.sparse_rows(), rel.num_columns)
-                != rel.num_columns - ref_d[j]):
+                and rank_int_rows(rel.rows) != rel.num_columns - ref_d[j]):
             return False
     return True
 
@@ -234,6 +233,8 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     flips, or flips that differ only on loops) is not run again: every
     stage is a deterministic function of the graph, so it would repeat the
     same answer."""
+    if trials < 0:
+        raise InputError(f"trial count {trials} is negative")
     ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref_lat = lattice(g)
@@ -286,7 +287,7 @@ def multiplication_rank_check(g: Graph) -> bool:
         rows = [{col[mask]: v for mask, v in
                  (circulation_from_coords(g, j, vec) * power).table.items()}
                 for vec in integral_circulations(g, j)]
-        if rank_int_rows(rows, len(col)) != d[j]:
+        if rank_int_rows(rows) != d[j]:
             return False
     return True
 

@@ -126,6 +126,19 @@ def test_verify_command(capsys, graph_dir):
     assert statuses["orientation-invariance"] == "pass"
 
 
+def test_verify_refuses_negative_trials(capsys, graph_dir):
+    code, doc = run_cli(capsys, "verify", str(graph_dir / "c3.g"),
+                        "--trials", "-3")
+    assert code == 2
+    assert doc["kind"] == "input"
+
+
+def test_corpus_refuses_negative_edge_bound(capsys):
+    code, doc = run_cli(capsys, "corpus", "--max-edges", "-1")
+    assert code == 2
+    assert doc["kind"] == "input"
+
+
 def test_corpus_command_small(capsys):
     code, doc = run_cli(capsys, "corpus", "--max-edges", "3")
     assert code == 0

@@ -40,7 +40,7 @@ def test_snf_factor_count_is_rank():
     ]
     for m in mats:
         rows = [{j: v for j, v in enumerate(row) if v} for row in m]
-        assert len(smith_normal_form(m)) == rank_int_rows(rows, len(m[0]))
+        assert len(smith_normal_form(m)) == rank_int_rows(rows)
 
 
 def test_integer_kernel_basis():
@@ -75,7 +75,7 @@ def test_integer_kernel_basis_property(mat):
     assert all(sum(a * b for a, b in zip(row, v)) == 0
                for row in mat for v in basis)
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    assert len(basis) == ncols - rank_int_rows(rows, ncols)
+    assert len(basis) == ncols - rank_int_rows(rows)
     assert hermite_rows(basis) == basis
     assert all(f == 1 for f in smith_normal_form(basis))
 
@@ -197,4 +197,40 @@ def test_det_int():
 
 def test_rank_int_rows_sparse():
     rows = [{0: 1, 2: -1}, {0: 2, 2: -2}, {1: 5}]
-    assert rank_int_rows(rows, 3) == 2
+    assert rank_int_rows(rows) == 2
+    # leading values 2 and 3: cleared by cross-multiplication, not a unit
+    assert rank_int_rows([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+    assert rank_int_rows([{0: 2, 1: 1}, {0: 3, 1: 5}]) == 2
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices of up to 8 x 8 with entries up to 10**6 in size,
+    mixing random rows with zero rows, repeats and integer combinations."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-10**6, 10**6) | st.integers(-3, 3)
+    mat = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "repeat" and mat:
+            row = list(draw(st.sampled_from(mat)))
+        elif kind == "combine" and mat:
+            row = [0] * ncols
+            for other in draw(st.lists(st.sampled_from(mat), max_size=3)):
+                k = draw(st.integers(-5, 5))
+                row = [x + k * y for x, y in zip(row, other)]
+        else:
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        mat.append(row)
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+def test_rank_int_rows_matches_rref(mat):
+    rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
+    before = [dict(r) for r in rows]
+    assert rank_int_rows(rows) == len(rref(mat)[1])
+    assert rows == before

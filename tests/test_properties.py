@@ -181,7 +181,7 @@ def test_flow_closure(corpus4):
                  for c in chords]
         for a in flows:
             for b in flows:
-                assert (a * b).annihilates(rel.sparse_rows(), rel.basis)
+                assert (a * b).annihilates(rel.rows, rel.basis)
 
 
 def test_multiplication_rank_small_corpus(corpus4):
