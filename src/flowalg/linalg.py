@@ -4,7 +4,9 @@ Everything here is exact: matrices hold Python ints or ``Fraction``s and no
 floating point enters any code path.  Dense routines are adequate at the
 working scale (tens of rows and columns).  The relation matrices and the
 monomial evaluation matrices are ranked by :func:`rank_int_rows`, a sparse
-row-by-row echelon reduction in integers.
+row-by-row echelon reduction in integers.  One integer lattice reduction,
+the row Hermite form of :func:`hermite_rows`, gives both the integer kernels
+and the Smith invariant factors (alternating row Hermite forms).
 
 Minimum-norm points come from one orthogonal projection onto a kernel,
 computed by a single :func:`rref` of the Gram system mat mat^T; on an
@@ -155,71 +157,26 @@ def det_int(mat: list[list[int]]) -> int:
 
 
 def smith_normal_form(mat: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors ``d_1 | d_2 | ...`` of an integer matrix."""
-    a = [list(row) for row in mat]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+    """Nonzero invariant factors ``d_1 | d_2 | ...`` of an integer matrix.
 
-    def row_op(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    size = min(nr, nc)
-    while t < size:
-        # locate a minimal nonzero entry in the trailing block
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (pivot is None
-                                     or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-                    if abs(a[i][j]) == 1:  # no smaller one exists
-                        break
-            if pivot is not None and abs(a[pivot[0]][pivot[1]]) == 1:
-                break
-        if pivot is None:
-            break
-        a[t], a[pivot[0]] = a[pivot[0]], a[t]
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder smaller than pivot
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # divisibility: fold in any entry the pivot does not divide
-        offender = None
-        for i in range(t + 1, nr) if abs(a[t][t]) != 1 else ():
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # adds the offending row to row t
-            continue
-        t += 1
-    return [abs(a[i][i]) for i in range(t) if a[i][i] != 0]
+    Row Hermite forms of the matrix and its transposes, alternately (Kannan
+    and Bachem 1979), until the form is diagonal.  Each pass is unimodular,
+    so the factors stay.  The first pivot only ever shrinks to a divisor;
+    a pass that keeps it splits it off as a 1 x 1 block, because the
+    Hermite form of a lattice is unique, so the passes end.  A form whose
+    pivots are all 1 has a unit minor of full size, and every factor is 1.
+    The diagonal becomes a divisibility chain by (gcd, lcm) replacements.
+    """
+    h = hermite_rows(mat)
+    while any(sum(1 for x in row if x) > 1 for row in h):
+        if all(next(x for x in row if x) == 1 for row in h):
+            return [1] * len(h)
+        h = hermite_rows([list(col) for col in zip(*h)])
+    d = [next(x for x in row if x) for row in h]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
@@ -238,8 +195,9 @@ def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
 
 
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of a full-row-rank integer matrix: positive
-    pivots, entries above each pivot reduced into [0, pivot)."""
+    """Row Hermite normal form of any integer matrix, zero rows dropped:
+    positive pivots, entries above each pivot reduced into [0, pivot).  The
+    rows left have full rank; an empty matrix gives an empty one."""
     m = [list(r) for r in rows]
     if not m:
         return m

@@ -124,10 +124,7 @@ def torsion_check(g: Graph, j: int) -> bool:
     """True iff the degree-j quotient is free: every nonzero invariant
     factor of the relation matrix equals 1."""
     rel = relation_matrix(g, j)
-    dense = [row for row in rel.dense() if any(row)]
-    if not dense:
-        return True
-    return all(f == 1 for f in smith_normal_form(dense))
+    return all(f == 1 for f in smith_normal_form(rel.dense()))
 
 
 def integral_circulations(g: Graph, j: int) -> list[tuple[int, ...]]:
@@ -182,7 +179,7 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
                 raise check_failed(g, "product membership",
                                    f"a product of degrees {i} and {j} is "
                                    f"not a degree-{i + j} circulation")
-            products.append([prod.value(mask) for mask in rel.basis])
+            products.append([prod.table.get(mask, 0) for mask in rel.basis])
     factors = smith_normal_form(products)
     if len(factors) != d:
         raise InputError("product subgroup has infinite index; "

@@ -99,7 +99,10 @@ def _poly_add(a, b, shift=0):
 
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
-    """Run the full identity and inequality suite on one graph."""
+    """Run the full identity and inequality suite on one graph.  A negative
+    theta bound raises ``InputError`` before any check runs."""
+    if theta_bound < 0:
+        raise InputError(f"theta bound {theta_bound} is negative")
     rep = CheckReport()
     dp = trimmed(poincare(g))
 

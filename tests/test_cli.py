@@ -133,6 +133,20 @@ def test_verify_refuses_negative_trials(capsys, graph_dir):
     assert doc["kind"] == "input"
 
 
+def test_verify_refuses_negative_theta_bound(capsys, graph_dir):
+    code, doc = run_cli(capsys, "verify", str(graph_dir / "c3.g"),
+                        "--max-norm", "-5")
+    assert code == 2
+    assert doc["kind"] == "input"
+
+
+def test_corpus_refuses_negative_theta_bound(capsys):
+    code, doc = run_cli(capsys, "corpus", "--max-edges", "2",
+                        "--max-norm", "-1")
+    assert code == 2
+    assert doc["kind"] == "input"
+
+
 def test_corpus_refuses_negative_edge_bound(capsys):
     code, doc = run_cli(capsys, "corpus", "--max-edges", "-1")
     assert code == 2

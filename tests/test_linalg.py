@@ -1,6 +1,6 @@
 from fractions import Fraction
-from itertools import product
-from math import floor, isqrt
+from itertools import combinations, product
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +23,69 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert smith_normal_form([]) == []
+    # Hermite forms that are not diagonal and have a pivot above 1 take a
+    # second pass, on the transpose; the pivots of the first one are not
+    # the factors of [[2, 1], [0, 2]]
+    assert smith_normal_form([[2, 2], [0, 4]]) == [2, 4]
+    assert smith_normal_form([[2, 1], [0, 2]]) == [1, 4]
+    # unit pivots: every factor is 1 without a second pass
+    assert smith_normal_form([[1, 1]]) == [1]
+    # six-digit entries, repeated and zero rows: the entries must not grow
+    # without bound on the way (factors checked against the minors)
+    assert smith_normal_form([
+        [0, -863009, 0, -644126, 128705, 591982],
+        [0, 863009, 0, 644126, -128705, -591982],
+        [0, 863009, 0, 644126, -128705, -591982],
+        [0, 0, 0, 0, 0, 0],
+        [-917923, -202600, 0, 0, 0, 290138],
+        [0, 154009, -828572, 0, -380182, 940006],
+        [0, 0, 0, 0, 0, 0],
+        [-904052, 0, 405955, -132756, 856105, 0]]) == [1, 1, 1, 1]
+
+
+@st.composite
+def _small_int_matrices(draw):
+    """Integer matrices of up to 4 x 5 with entries up to 30 in size,
+    mixing random rows with zero rows and repeated rows."""
+    ncols = draw(st.integers(1, 5))
+    mat = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero":
+            mat.append([0] * ncols)
+        elif kind == "repeat" and mat:
+            mat.append(list(draw(st.sampled_from(mat))))
+        else:
+            mat.append(draw(st.lists(st.integers(-30, 30),
+                                     min_size=ncols, max_size=ncols)))
+    return mat
+
+
+def determinantal_factors(mat):
+    """Invariant factors d_k = D_k / D_(k-1), with D_k the gcd of all k x k
+    minors (each a ``det_int``), for k up to the rank."""
+    nr = len(mat)
+    nc = len(mat[0]) if nr else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        dk = gcd(*(det_int([[mat[i][j] for j in cols] for i in rows])
+                   for rows in combinations(range(nr), k)
+                   for cols in combinations(range(nc), k)))
+        if dk == 0:
+            break
+        factors.append(dk // prev)
+        prev = dk
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_int_matrices())
+@example([[2, 2], [0, 4]])
+@example([[0, 0, 0], [6, 4, 0], [6, 4, 0]])
+def test_smith_matches_determinantal_divisors(mat):
+    assert smith_normal_form(mat) == determinantal_factors(mat)
 
 
 def test_smith_factors_divisibility_chain():
@@ -59,6 +122,8 @@ def test_hermite_rows_normalizes():
     rows = hermite_rows([[0, 3], [2, 1]])
     assert rows[0][0] > 0
     assert 0 <= rows[0][1] < rows[1][1] or rows[1][1] == 0 or rows[0][1] == 0
+    # any integer matrix: rank-deficient rows reduce to zero and are dropped
+    assert hermite_rows([[2, 4], [1, 2], [0, 0]]) == [[1, 2]]
 
 
 @settings(max_examples=200, deadline=None)
