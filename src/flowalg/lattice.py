@@ -80,7 +80,9 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     rescaled to value 1 on the edge: x = e - B^T p, where B is the incidence
     matrix and the vertex potential p solves L p = B e for the graph
     Laplacian L = B B^T, so that x_f = [f = e] - (p_head(f) - p_tail(f)).
-    :func:`~flowalg.linalg.min_norm_affine` does this with one exact solve.
+    :func:`~flowalg.linalg.min_norm_affine` does this with one
+    fraction-free integer solve of the Laplacian system, over one common
+    denominator; only the returned entries are rational.
 
     Raises ``InputError`` for cut-edges, where every flow vanishes on the
     edge and the constraint is infeasible.

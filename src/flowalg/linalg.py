@@ -9,8 +9,9 @@ the row Hermite form of :func:`hermite_rows`, gives both the integer kernels
 and the Smith invariant factors (alternating row Hermite forms).
 
 Minimum-norm points come from one orthogonal projection onto a kernel,
-computed by a single :func:`rref` of the Gram system mat mat^T; on an
-incidence matrix that is the graph Laplacian (see :func:`min_norm_affine`).
+computed by a fraction-free integer solve of the Gram system mat mat^T; on
+an incidence matrix that is the graph Laplacian (see
+:func:`min_norm_affine`).
 """
 
 from __future__ import annotations
@@ -22,72 +23,69 @@ from operator import mul
 from .errors import InfeasibleError, InputError
 
 Vector = list[Fraction]
-Matrix = list[list[Fraction]]
 
 
-# -- rational elimination -------------------------------------------------
-
-
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (copy; exact)."""
-    # Fractions are immutable, so those already given are shared, not rebuilt
-    m = [[x if type(x) is Fraction else Fraction(x) for x in row]
-         for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        if m[r][c] != 1:
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-        # only the pivot row's nonzero columns change the other rows
-        support = [(k, b) for k, b in enumerate(m[r]) if b]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                row = m[i]
-                for k, b in support:
-                    row[k] -= f * b
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+# -- minimum-norm point ---------------------------------------------------
 
 
 def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
-    """Minimum-norm point of ``{x : mat @ x = 0, x[i] = value}``.
+    """Minimum-norm point of ``{x : mat @ x = 0, x[i] = value}`` for an
+    integer matrix ``mat`` with ``ncols`` columns.
 
     With P the orthogonal projection onto ker(mat), the minimizer is
     value * P e_i / (P e_i)_i, because |P e_i|^2 = (P e_i)_i.  One solve gives
     P e_i = e_i - mat^T y for any y with (mat mat^T) y = mat e_i: the system is
     always consistent and mat^T y does not depend on the choice of y, so the
     free variables are set to 0.  For an incidence matrix, mat mat^T is the
-    graph Laplacian and y a vertex potential.  Raises ``InfeasibleError`` if
-    value != 0 but every point of ker(mat) vanishes at i.
+    graph Laplacian and y a vertex potential.
+
+    The solve is fraction-free.  The rows of [mat mat^T | mat e_i] are
+    reduced one by one to an integer echelon form, as in
+    :func:`rank_int_rows`, and back-substitution keeps y = y_num / den over
+    one common denominator.  So u = den e_i - mat^T y_num is an integer
+    multiple of P e_i, and the point is value * u / u_i: only its ``ncols``
+    entries are ``Fraction``s.  Raises ``InfeasibleError`` if value != 0 but
+    every point of ker(mat) vanishes at i.
     """
     if not 0 <= i < ncols:
         raise InputError(f"fixed coordinate {i} out of range")
-    value = Fraction(value)
     r = len(mat)
-    red, pivots = rref([[sum(map(mul, r1, r2)) for r2 in mat] + [r1[i]]
-                        for r1 in mat])
-    y = [Fraction(0)] * r
-    for k, p in enumerate(pivots):
-        y[p] = red[k][r]
-    proj = [int(c == i) - sum(y[k] * mat[k][c] for k in range(r) if mat[k][c])
-            for c in range(ncols)]
-    if proj[i] == 0:
+    pivots: dict[int, list[int]] = {}
+    for r1 in mat:
+        row = [sum(map(mul, r1, r2)) for r2 in mat] + [r1[i]]
+        for c in range(r + 1):
+            if not row[c]:
+                continue
+            piv = pivots.get(c)
+            if piv is None:
+                g = gcd(*row)
+                pivots[c] = [x // g for x in row] if g > 1 else row
+                break
+            g = gcd(row[c], piv[c])
+            a, b = row[c] // g, piv[c] // g
+            row = [b * x - a * y for x, y in zip(row, piv)]
+    y = [0] * r
+    den = 1
+    for p in sorted(pivots, reverse=True):
+        piv = pivots[p]
+        s = piv[r] * den - sum(piv[c] * y[c] for c in range(p + 1, r) if y[c])
+        # y_p = s / (piv[p] den): scale y to the common denominator piv[p] den
+        y = [x * piv[p] for x in y]
+        den *= piv[p]
+        y[p] = s
+        g = gcd(den, *y)
+        if g > 1:
+            y = [x // g for x in y]
+            den //= g
+    u = [den * (c == i) - sum(y[k] * row[c] for k, row in enumerate(mat)
+                              if row[c] and y[k])
+         for c in range(ncols)]
+    if u[i] == 0:
         if value:
             raise InfeasibleError(f"every point of the kernel vanishes at {i}")
         return [Fraction(0)] * ncols
-    scale = value / proj[i]
-    return [x * scale for x in proj]
+    scale = Fraction(value) / u[i]
+    return [x * scale for x in u]
 
 
 # -- sparse fraction-free integer rank ------------------------------------

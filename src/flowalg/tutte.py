@@ -4,11 +4,14 @@ counts.
 The deletion-contraction recursion is the production route.  Two
 independent oracles check it on graphs with at most 12 edges: a
 corank-nullity subset sum checks the Tutte polynomial, and a direct count of
-maximal forests checks T(1, 1).  Each oracle runs once per distinct graph
-per process: a graph whose recursion result an oracle has confirmed is
-recorded by its :func:`_normal_form` key, and a later graph with an equal key
-(equal up to relabeling and orientation) is not checked again.  All
-arithmetic is integer-exact.
+maximal forests checks T(1, 1).  The subset sum is a frontier sweep over the
+edges: the subsets are grouped by the partition they induce on the vertices
+that still have an edge to come, with their counts kept by rank and
+nullity, so the 2^m subsets are never listed one by one.  Each oracle runs
+once per distinct graph per process: a graph whose recursion result an
+oracle has confirmed is recorded by its :func:`_normal_form` key, and a
+later graph with an equal key (equal up to relabeling and orientation) is
+not checked again.  All arithmetic is integer-exact.
 """
 
 from __future__ import annotations
@@ -120,49 +123,91 @@ def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
 
 def tutte_by_subsets(g: Graph) -> BiPoly:
     """Corank-nullity oracle: sum over all edge subsets S of
-    (x-1)^(r(E)-r(S)) (y-1)^(|S|-r(S)) with r(S) = n - c(S).
+    (x-1)^(r(E)-r(S)) (y-1)^(|S|-r(S)), with r(E) = n - c(E).
 
-    The subsets are built one edge at a time (left out or put in), and
-    subsets that so far induce the same vertex partition are counted
-    together, by size: the counts sit in one integer, base 2^(m+1), digit s
-    for the subsets of size s (a digit never exceeds 2^m, so adding two such
-    integers never carries and putting an edge in is a shift by one digit).
-    r(S) follows from the partition."""
-    n = g.num_vertices
+    A frontier sweep: the subsets are built one edge at a time (left out or
+    put in), and a state is the partition, by the edges put in so far, of
+    the vertices that still have an edge to come.  A block is labelled by
+    its least live vertex index; once a vertex has seen its last edge it is
+    forgotten (its label becomes -1 and its block is relabelled), so states
+    that differ only in forgotten vertices merge.  Each state holds one
+    integer of subset counts, base 2^(m+1), digit nu (r(E) + 1) + r for the
+    subsets of rank r and nullity nu: a count never exceeds 2^m, so adding
+    two such integers never carries.  Putting in an edge that joins two
+    blocks is one rank step (a shift by one digit); an edge inside a block,
+    a loop included, is one nullity step.  At the end the digit (r, nu)
+    counts the term (x-1)^(r(E)-r) (y-1)^nu, and the sum is expanded in
+    each variable once."""
+    vertices = g.vertices
+    n = len(vertices)
     m = g.num_edges
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = {v: i for i, v in enumerate(vertices)}
     r_full = n - g.num_components
-    digit = m + 1
-    # component label of each vertex (its least index) -> packed size counts
-    states: dict[tuple[int, ...], int] = {tuple(range(n)): 1}
-    for _, tail, head in g.edges:
-        t, h = index[tail], index[head]
+    bits = m + 1
+    null_shift = (r_full + 1) * bits
+    ends = [(index[t], index[h]) for _, t, h in g.edges]
+    last = [-1] * n
+    for k, pair in enumerate(ends):
+        for v in pair:
+            last[v] = k
+    states: dict[tuple[int, ...], int] = {
+        tuple(v if last[v] >= 0 else -1 for v in range(n)): 1}
+    for k, (t, h) in enumerate(ends):
         nxt: dict[tuple[int, ...], int] = {}
         for labels, counts in states.items():
             nxt[labels] = nxt.get(labels, 0) + counts
-            lo, hi = sorted((labels[t], labels[h]))
-            if lo != hi:
-                labels = tuple(lo if x == hi else x for x in labels)
-            nxt[labels] = nxt.get(labels, 0) + (counts << digit)
+            lo, hi = labels[t], labels[h]
+            if lo == hi:
+                nxt[labels] = nxt.get(labels, 0) + (counts << null_shift)
+                continue
+            if lo > hi:
+                lo, hi = hi, lo
+            joined = tuple(lo if x == hi else x for x in labels)
+            nxt[joined] = nxt.get(joined, 0) + (counts << bits)
+        for v in {t, h}:
+            if last[v] == k:
+                states, nxt = nxt, {}
+                for labels, counts in states.items():
+                    labels = _forget(labels, v)
+                    nxt[labels] = nxt.get(labels, 0) + counts
         states = nxt
-    acc: dict[tuple[int, int], int] = {}
-    mask = (1 << digit) - 1
-    for labels, counts in states.items():
-        r_s = n - len(set(labels))
-        for size in range(m + 1):
-            cnt = counts >> (size * digit) & mask
-            if cnt:
-                key = (r_full - r_s, size - r_s)
-                acc[key] = acc.get(key, 0) + cnt
-    # expand sum of (x-1)^a (y-1)^b monomial by monomial
+    total = sum(states.values())
+    mask = (1 << bits) - 1
+    # by_null[nu][a]: the count of the term (x-1)^a (y-1)^nu
+    by_null = []
+    while total:
+        by_null.append([total >> ((r_full - a) * bits) & mask
+                        for a in range(r_full + 1)])
+        total >>= null_shift
+    # signed binomial rows: (z-1)^a = sum_i pascal[a][i] z^i
+    pascal = [[1]]
+    for _ in range(max(r_full, len(by_null) - 1)):
+        prev = pascal[-1]
+        pascal.append([-prev[0]] + [prev[i - 1] - prev[i]
+                                    for i in range(1, len(prev))] + [1])
+    # expand in x for each nu, then in y for each power of x
     out: dict[tuple[int, int], int] = {}
-    for (a, b), cnt in acc.items():
-        for i in range(a + 1):
-            for j in range(b + 1):
-                sign = (-1) ** ((a - i) + (b - j))
-                k = (i, j)
-                out[k] = out.get(k, 0) + cnt * sign * comb(a, i) * comb(b, j)
+    for nu, row in enumerate(by_null):
+        in_x = [0] * (r_full + 1)
+        for a, c in enumerate(row):
+            if c:
+                for i, p in enumerate(pascal[a]):
+                    in_x[i] += c * p
+        for i, c in enumerate(in_x):
+            if c:
+                for j, p in enumerate(pascal[nu]):
+                    out[(i, j)] = out.get((i, j), 0) + c * p
     return BiPoly(out)
+
+
+def _forget(labels: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The labels with vertex v forgotten: v gets -1, and if v labelled its
+    block, the rest of the block (all above v) takes its least index."""
+    rest = labels[v + 1:]
+    if labels[v] == v and v in rest:
+        new = v + 1 + rest.index(v)
+        rest = tuple(new if x == v else x for x in rest)
+    return labels[:v] + (-1,) + rest
 
 
 def tutte(g: Graph) -> BiPoly:

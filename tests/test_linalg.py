@@ -3,13 +3,16 @@ from itertools import combinations, product
 from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+from flowalg.cli import parse_graph
 from flowalg.errors import InfeasibleError, InputError
-from flowalg.graph import cycle_graph
+from flowalg.graph import build, complete_graph, cycle_graph
 from flowalg.linalg import (det_int, enumerate_by_norm, hermite_rows,
                             integer_kernel_basis, min_norm_affine,
-                            rank_int_rows, rref, smith_normal_form)
+                            rank_int_rows, smith_normal_form)
+
+from conftest import rref
 
 F = Fraction
 
@@ -186,6 +189,71 @@ def test_min_norm_orthogonality_property(case):
     assert x[i] == value
     assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in mat)
     assert all(sum(a * b for a, b in zip(v, x)) == 0 for v in directions)
+
+
+def min_norm_affine_rational(mat, i, value, ncols):
+    """The same point by a rational solve: one ``rref`` of
+    [mat mat^T | mat e_i], free variables 0, then value P e_i / (P e_i)_i."""
+    if not 0 <= i < ncols:
+        raise InputError(f"fixed coordinate {i} out of range")
+    value = F(value)
+    r = len(mat)
+    red, pivots = rref([[sum(a * b for a, b in zip(r1, r2)) for r2 in mat]
+                        + [r1[i]] for r1 in mat])
+    y = [F(0)] * r
+    for k, p in enumerate(pivots):
+        y[p] = red[k][r]
+    proj = [int(c == i) - sum(y[k] * mat[k][c] for k in range(r))
+            for c in range(ncols)]
+    if proj[i] == 0:
+        if value:
+            raise InfeasibleError(f"every point of the kernel vanishes at {i}")
+        return [F(0)] * ncols
+    return [x * value / proj[i] for x in proj]
+
+
+def _same_min_norm_point(mat, i, value, ncols):
+    try:
+        expected = min_norm_affine_rational(mat, i, value, ncols)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            min_norm_affine(mat, i, value, ncols)
+        return False
+    got = min_norm_affine(mat, i, value, ncols)
+    assert got == expected
+    assert all(type(x) is F for x in got)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_min_norm_affine_matches_rational_solve(data):
+    """Random integer matrices: rank-deficient, with zero rows, repeats and
+    combinations of rows, and large entries; full column rank makes the
+    nonzero values infeasible."""
+    mat = data.draw(_int_matrices())
+    ncols = len(mat[0]) if mat else data.draw(st.integers(1, 8))
+    i = data.draw(st.integers(0, ncols - 1))
+    value = data.draw(st.sampled_from([0, 1, -1, 3, F(-5, 2)]))
+    feasible = _same_min_norm_point(mat, i, value, ncols)
+    event("feasible" if feasible else "infeasible")
+
+
+def test_min_norm_affine_matches_rational_solve_on_graphs(graph_dir):
+    """Every edge of the sample graphs and of K6 plus an edge parallel to
+    1-2 (16 edges), where the Laplacian solve grows its coefficients;
+    cut-edges are infeasible."""
+    k6e = complete_graph(6)
+    k6e = build(k6e.edges + ((16, 1, 2),))
+    graphs = [parse_graph(str(p)) for p in sorted(graph_dir.glob("*.g"))]
+    feasible = 0
+    for g in graphs + [k6e]:
+        mat = [list(row) for row in g.incidence_rows()]
+        for i in range(g.num_edges):
+            for value in (1, -1, F(2, 3)):
+                feasible += _same_min_norm_point(mat, i, value, g.num_edges)
+    assert feasible == 3 * sum(g.num_edges - len(g.cut_edges)
+                               for g in graphs + [k6e])
 
 
 def test_enumerate_by_norm_examples():

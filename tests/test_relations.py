@@ -8,10 +8,12 @@ from flowalg.circulation import Circulation, subset_masks
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
                            cycle_graph, path_graph)
-from flowalg.linalg import det_int, rank_int_rows, rref, smith_normal_form
+from flowalg.linalg import det_int, rank_int_rows, smith_normal_form
 from flowalg.relations import (RelationMatrix, circulation_from_coords,
                                integral_circulations, product_torsion,
                                rank_sequence, relation_matrix, torsion_check)
+
+from conftest import rref
 
 
 def contraction_reference(g, j):

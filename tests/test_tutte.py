@@ -1,10 +1,13 @@
 import importlib
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowalg.errors import CheckError
-from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
-                           cycle_graph, disjoint_union, path_graph)
+from flowalg.graph import (Graph, _components, bouquet_graph, build,
+                           complete_graph, cycle_graph, dipole_graph,
+                           disjoint_union, path_graph)
 from flowalg.tutte import (BiPoly, complexity, count_spanning_forests,
                            poincare, tutte, tutte_by_subsets)
 
@@ -72,12 +75,54 @@ def test_poincare_value_at_one_counts_spanning_subgraphs():
 
 def test_subset_oracle_beyond_the_automatic_check():
     # 13 edges: tutte() no longer cross-checks, so compare here; the
-    # oracle's packed size counts then need 14-bit digits
+    # oracle's packed subset counts then need 14-bit digits
     g = build([(i, u, w) for i, (u, w) in enumerate(
         [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
          (3, 5), (4, 5), (1, 2), (3, 3), (4, 5)], start=1)])
     assert g.num_edges == 13
     assert tutte_by_subsets(g) == tutte(g)
+
+
+def tutte_by_definition(g):
+    """The corank-nullity sum over all 2^m edge subsets, one at a time."""
+    n, m = g.num_vertices, g.num_edges
+    r_full = n - g.num_components
+    out = {}
+    for mask in range(1 << m):
+        subset = [(t, h) for k, (_, t, h) in enumerate(g.edges)
+                  if mask >> k & 1]
+        r_s = n - _components(g.vertices, subset)[0]
+        a, b = r_full - r_s, len(subset) - r_s
+        for i in range(a + 1):
+            for j in range(b + 1):
+                term = (-1) ** (a - i + b - j) * comb(a, i) * comb(b, j)
+                out[(i, j)] = out.get((i, j), 0) + term
+    return BiPoly(out)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Up to 8 edges on up to 6 vertices, with loops, parallel edges,
+    isolated vertices and several components, in any edge order (so a
+    vertex's last edge may come first and be forgotten early)."""
+    vertices = list(range(1, draw(st.integers(1, 6)) + 1))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)), max_size=8))
+    edges = draw(st.permutations([(k, t, h)
+                                  for k, (t, h) in enumerate(ends, 1)]))
+    return build(edges, isolated=vertices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+@example(Graph((), ()))
+@example(bouquet_graph(1))
+@example(disjoint_union(cycle_graph(3), dipole_graph(2)))
+# vertex 1's only edge comes first; vertices 4 and 5 are gone before 2 and 3
+@example(build([(1, 1, 2), (2, 4, 5), (3, 2, 4), (4, 5, 3), (5, 3, 2),
+                (6, 2, 2)], isolated=[6]))
+def test_subset_oracle_matches_definition(g):
+    assert tutte_by_subsets(g) == tutte_by_definition(g)
 
 
 def test_oracles_run_once_per_distinct_graph(monkeypatch):
