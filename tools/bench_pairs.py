@@ -1,26 +1,27 @@
 """Alternating parent/change benchmark pairs, written to ``BENCH_<pr>.json``.
 
-The parent commit's files are extracted into a temporary directory with
-``git archive`` (no worktree is registered in the repository, so a killed
-run leaves nothing behind in ``.git``).  For each workload of
-``BENCHMARK.json``, pair k (k = 1..N) runs
+The committed files of the parent and of the change are extracted with
+``git archive`` into two sibling temporary directories, so both sides run
+from the same kind of place and uncommitted edits are never measured (no
+worktree is registered in the repository, so a killed run leaves nothing
+behind in ``.git``).  For each workload of ``BENCHMARK.json``, pair k
+(k = 1..N) runs
 
     python3 perfbench/run.py --workload W --seed k --seconds S --trace 0
 
-once in the parent's directory and once in this checkout, the parent first
-in odd pairs and the checkout first in even ones, so a slow drift of the
-machine does not favour one side.  The output holds, per workload and
-end-to-end metric, both sides' values, medians and quartiles, the median
-ratio (change / parent) and the number of pairs the change won, by the
-metric's ``better`` direction; and the machine: CPU count and Python
-version.
+once in each tree, the parent first in odd pairs and the change first in
+even ones, so a slow drift of the machine does not favour one side.  The
+output holds, per workload and end-to-end metric, both sides' values,
+medians and quartiles, the median ratio (change / parent) and the number of
+pairs the change won, by the metric's ``better`` direction; and the
+machine: CPU count and Python version.
 
-Run from the root of a checkout with its change committed:
+Run from a checkout (the change defaults to ``HEAD``):
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr 11 --pairs 6
 
-About 40 s per run on a 2-CPU machine, so 6 pairs of all three workloads
-take about 25 min.
+On a 2-CPU machine a run takes about 35 s on average, so 10 pairs of all
+three workloads take about 35 min.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ def git(*args: str) -> str:
 
 
 def extract(rev: str, dest: pathlib.Path) -> None:
-    """The committed files of ``rev``, written under ``dest``."""
-    archive = dest / "tree.tar"
+    """The committed files of ``rev``, written to the new directory
+    ``dest``."""
+    archive = dest.with_suffix(".tar")
     with open(archive, "wb") as out:
         subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                        stdout=out)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree")
+        tar.extractall(dest)
     archive.unlink()
 
 
@@ -110,6 +112,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True,
                     help="the git revision to compare against")
+    ap.add_argument("--change", default="HEAD",
+                    help="the git revision to measure")
     ap.add_argument("--pr", required=True,
                     help="the output is BENCH_<pr>.json at the root")
     ap.add_argument("--pairs", type=int, default=6)
@@ -119,19 +123,19 @@ def main() -> int:
     if a.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    parent_rev = git("rev-parse", a.parent)
+    revs = {side: git("rev-parse", getattr(a, side))
+            for side in ("parent", "change")}
     record = {
-        "parent": parent_rev, "change": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        **revs,
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "arch": platform.machine()},
         "command": "perfbench/run.py --trace 0", "seconds": a.seconds,
         "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        tmp = pathlib.Path(tmp)
-        extract(parent_rev, tmp)
-        trees = {"parent": tmp / "tree", "change": ROOT}
+        trees = {side: pathlib.Path(tmp) / side for side in revs}
+        for side, rev in revs.items():
+            extract(rev, trees[side])
         for workload in a.workloads:
             pairs = []
             for seed in range(1, a.pairs + 1):
