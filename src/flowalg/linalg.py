@@ -40,35 +40,26 @@ def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
     graph Laplacian and y a vertex potential.
 
     The solve is fraction-free.  The rows of [mat mat^T | mat e_i] are
-    reduced one by one to an integer echelon form, as in
-    :func:`rank_int_rows`, and back-substitution keeps y = y_num / den over
-    one common denominator.  So u = den e_i - mat^T y_num is an integer
-    multiple of P e_i, and the point is value * u / u_i: only its ``ncols``
-    entries are ``Fraction``s.  Raises ``InfeasibleError`` if value != 0 but
+    reduced one by one to an integer echelon form by :func:`_echelon`, and
+    back-substitution keeps y = y_num / den over one common denominator.
+    So u = den e_i - mat^T y_num is an integer multiple of P e_i, and the
+    point is value * u / u_i: only its ``ncols`` entries are ``Fraction``s.
+    Raises ``InfeasibleError`` if value != 0 but
     every point of ker(mat) vanishes at i.
     """
     if not 0 <= i < ncols:
         raise InputError(f"fixed coordinate {i} out of range")
     r = len(mat)
-    pivots: dict[int, list[int]] = {}
-    for r1 in mat:
-        row = [sum(map(mul, r1, r2)) for r2 in mat] + [r1[i]]
-        for c in range(r + 1):
-            if not row[c]:
-                continue
-            piv = pivots.get(c)
-            if piv is None:
-                g = gcd(*row)
-                pivots[c] = [x // g for x in row] if g > 1 else row
-                break
-            g = gcd(row[c], piv[c])
-            a, b = row[c] // g, piv[c] // g
-            row = [b * x - a * y for x, y in zip(row, piv)]
+    pivots = _echelon(
+        {c: v for c, v in enumerate([sum(map(mul, r1, r2)) for r2 in mat]
+                                    + [r1[i]]) if v}
+        for r1 in mat)
     y = [0] * r
     den = 1
     for p in sorted(pivots, reverse=True):
         piv = pivots[p]
-        s = piv[r] * den - sum(piv[c] * y[c] for c in range(p + 1, r) if y[c])
+        s = piv.get(r, 0) * den - sum(v * y[c] for c, v in piv.items()
+                                      if p < c < r)
         # y_p = s / (piv[p] den): scale y to the common denominator piv[p] den
         y = [x * piv[p] for x in y]
         den *= piv[p]
@@ -94,13 +85,19 @@ def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
 def rank_int_rows(rows) -> int:
     """Rank of an integer matrix given as sparse rows: dicts (column ->
     value) or sequences of (column, value) pairs, every stored value nonzero.
+    The rank is the number of pivot rows of :func:`_echelon`."""
+    return len(_echelon(rows))
 
-    Row-by-row echelon reduction.  Each row's lowest column is cleared
-    against the pivot row that owns it, fraction-free: both leading values
-    are divided by their gcd, then the rows are cross-multiplied.  A row
-    whose lowest column has no pivot row is divided by the gcd of its
-    entries and becomes that column's pivot row; the rank is the number of
-    pivot rows.  The input rows are copied, not changed.
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Pivot rows of a row-by-row echelon reduction of sparse integer rows
+    (as for :func:`rank_int_rows`), keyed by their lowest column.
+
+    Each row's lowest column is cleared against the pivot row that owns it,
+    fraction-free: both leading values are divided by their gcd, then the
+    rows are cross-multiplied.  A row whose lowest column has no pivot row
+    is divided by the gcd of its entries and becomes that column's pivot
+    row.  The input rows are copied, not changed.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -125,7 +122,7 @@ def rank_int_rows(rows) -> int:
                     row[k] = nv
                 else:
                     del row[k]
-    return len(pivots)
+    return pivots
 
 
 def det_int(mat: list[list[int]]) -> int:

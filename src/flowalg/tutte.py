@@ -128,12 +128,12 @@ def tutte_by_subsets(g: Graph) -> BiPoly:
     A frontier sweep: the subsets are built one edge at a time (left out or
     put in), and a state is the partition, by the edges put in so far, of
     the vertices that still have an edge to come.  A block is labelled by
-    its least live vertex index; once a vertex has seen its last edge it is
-    forgotten (its label becomes -1 and its block is relabelled), so states
-    that differ only in forgotten vertices merge.  Each state holds one
-    integer of subset counts, base 2^(m+1), digit nu (r(E) + 1) + r for the
-    subsets of rank r and nullity nu: a count never exceeds 2^m, so adding
-    two such integers never carries.  Putting in an edge that joins two
+    the least vertex index it has held; once a vertex has seen its last
+    edge it is forgotten (its label becomes -1), so states that differ only
+    in forgotten vertices merge.  Each state holds one integer of subset
+    counts, base 2^(m+1), digit nu (r(E) + 1) + r for the subsets of rank r
+    and nullity nu: a count never exceeds 2^m, so adding two such integers
+    never carries.  Putting in an edge that joins two
     blocks is one rank step (a shift by one digit); an edge inside a block,
     a loop included, is one nullity step.  At the end the digit (r, nu)
     counts the term (x-1)^(r(E)-r) (y-1)^nu, and the sum is expanded in
@@ -168,7 +168,7 @@ def tutte_by_subsets(g: Graph) -> BiPoly:
             if last[v] == k:
                 states, nxt = nxt, {}
                 for labels, counts in states.items():
-                    labels = _forget(labels, v)
+                    labels = labels[:v] + (-1,) + labels[v + 1:]
                     nxt[labels] = nxt.get(labels, 0) + counts
         states = nxt
     total = sum(states.values())
@@ -198,16 +198,6 @@ def tutte_by_subsets(g: Graph) -> BiPoly:
                 for j, p in enumerate(pascal[nu]):
                     out[(i, j)] = out.get((i, j), 0) + c * p
     return BiPoly(out)
-
-
-def _forget(labels: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """The labels with vertex v forgotten: v gets -1, and if v labelled its
-    block, the rest of the block (all above v) takes its least index."""
-    rest = labels[v + 1:]
-    if labels[v] == v and v in rest:
-        new = v + 1 + rest.index(v)
-        rest = tuple(new if x == v else x for x in rest)
-    return labels[:v] + (-1,) + rest
 
 
 def tutte(g: Graph) -> BiPoly:

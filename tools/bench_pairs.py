@@ -9,14 +9,15 @@ behind in ``.git``).  For each workload of ``BENCHMARK.json``, pair k
 
     python3 perfbench/run.py --workload W --seed k --seconds S --trace 0
 
-once in each tree, the parent first in odd pairs and the change first in
-even ones, so a slow drift of the machine does not favour one side.  The
-output holds, per workload and end-to-end metric, both sides' values,
-medians and quartiles, the median ratio (change / parent) and the number of
-pairs the change won, by the metric's ``better`` direction; and the
-machine: CPU count and Python version.
+once in each tree, with S the ``run_seconds`` of ``BENCHMARK.json``, the
+parent first in odd pairs and the change first in even ones, so a slow
+drift of the machine does not favour one side.  The output holds, per
+workload and end-to-end metric, both sides' values, medians and
+quartiles, the median ratio (change / parent) and the number of pairs the
+change won, by the metric's ``better`` direction; and the machine: CPU
+count and Python version.
 
-Run from a checkout (the change defaults to ``HEAD``):
+Run from a checkout; the change is its ``HEAD``:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr 11 --pairs 6
 
@@ -108,35 +109,31 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True,
                     help="the git revision to compare against")
-    ap.add_argument("--change", default="HEAD",
-                    help="the git revision to measure")
     ap.add_argument("--pr", required=True,
                     help="the output is BENCH_<pr>.json at the root")
     ap.add_argument("--pairs", type=int, default=6)
-    ap.add_argument("--workloads", nargs="+", choices=names, default=names)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     a = ap.parse_args()
     if a.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    revs = {side: git("rev-parse", getattr(a, side))
-            for side in ("parent", "change")}
+    revs = {"parent": git("rev-parse", a.parent),
+            "change": git("rev-parse", "HEAD")}
     record = {
         **revs,
         "machine": {"nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "arch": platform.machine()},
-        "command": "perfbench/run.py --trace 0", "seconds": a.seconds,
+        "command": "perfbench/run.py --trace 0",
+        "seconds": spec["run_seconds"],
         "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: pathlib.Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             extract(rev, trees[side])
-        for workload in a.workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for seed in range(1, a.pairs + 1):
                 order = (("parent", "change") if seed % 2
@@ -144,7 +141,7 @@ def main() -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], workload, seed,
-                                          a.seconds)
+                                          spec["run_seconds"])
                     m = pair[side]["metrics"]
                     print(f"{workload} seed {seed} {side}: "
                           + ", ".join(f"{k}={v:.4g}" for k, v in m.items()),
