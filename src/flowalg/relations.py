@@ -5,15 +5,21 @@ lattices, and product-quotient groups.
 This is the definition-level oracle: each degree-j relation matrix holds,
 for every (j-1)-subset sigma of edges, one signed conservation row per vertex
 of the contraction X/sigma, exactly as the definition states.  The image
-vertices come from the vertex classes of each edge mask, built level by level
-from the masks one edge smaller, not from a contracted graph per subset.
-Ranks of these matrices give the rank sequence independently of the Tutte
-route.
+vertices come from one walk over the edge masks, level by level: the
+classes of each mask are those of the mask one edge smaller, joined across
+that edge, not a contracted graph per subset.  Each class carries the masks
+of the edges with their head and with their tail in it, so a row is held as
+(sigma, v, plus, minus), the edge masks of its +1 and -1 entries; an edge e
+owns the column sigma | e.  ``relation_matrix`` walks to one level and
+expands its rows to sparse (column, +-1) rows; ``edge_mask_rows`` gives the
+rows of every degree from one walk.  Ranks of these matrices give the rank
+sequence independently of the Tutte route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from .circulation import Circulation, ZZ, subset_masks
@@ -55,57 +61,100 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
     """Degree-j relation matrix: for each (j-1)-subset sigma, the
     conservation row of every vertex of the contraction X/sigma.
 
-    The vertices of X/sigma are the classes of (V, sigma), each named by its
-    minimum vertex id.  They are built level by level over the masks: the
-    classes of sigma are those of sigma minus its lowest edge, joined across
-    that edge.  Rows follow ascending sigma, then ascending image vertex.
+    The class walk stops at level j - 1, whose edge-mask rows are expanded
+    to sparse (column, +-1) rows.  Rows follow ascending sigma, then
+    ascending image vertex.
     """
     m = g.num_edges
     require_capacity(m)
     if not 0 <= j <= m:
         raise InputError(f"degree {j} out of range 0..{m}")
-    basis = tuple(subset_masks(m, j))
     if j == 0:
-        return RelationMatrix(0, basis, (), ())
+        return expand_mask_rows(m, 0, [])
+    level = next(islice(_class_levels(g), j - 1, None))
+    return expand_mask_rows(m, j, _level_rows(level))
+
+
+def edge_mask_rows(g: Graph) -> list[list[tuple[int, int, int, int]]]:
+    """The edge-mask rows of every degree 0..m, from one class walk: row
+    (sigma, v, plus, minus) of degree j has a (j-1)-subset sigma, an image
+    vertex v of X/sigma, and the masks of the edges outside sigma that enter
+    and leave v's class."""
+    m = g.num_edges
+    require_capacity(m)
+    return [[], *map(_level_rows, islice(_class_levels(g), m))]
+
+
+def expand_mask_rows(m: int, j: int,
+                     rows: list[tuple[int, int, int, int]]) -> RelationMatrix:
+    """The degree-j relation matrix of an m-edge graph from its edge-mask
+    rows: edge e of row (sigma, v, plus, minus) is the entry at column
+    sigma | e, +1 if e is in plus and -1 if it is in minus."""
+    basis = tuple(subset_masks(m, j))
+    # each surviving edge owns its own column sigma | e, so a row never
+    # gets two entries in one column; columns grow with the edge position,
+    # so every row comes out sorted
+    pos = {mask: (c, 1) for c, mask in enumerate(basis)}
+    neg = {mask: (c, -1) for c, mask in enumerate(basis)}
+    out = []
+    for sigma, _, plus, minus in rows:
+        row = []
+        both = plus | minus
+        while both:
+            bit = both & -both
+            both ^= bit
+            row.append((pos if plus & bit else neg)[sigma | bit])
+        out.append(tuple(row))
+    return RelationMatrix(j, basis, tuple(out),
+                          tuple([(sigma, v) for sigma, v, _, _ in rows]))
+
+
+def _class_levels(g: Graph):
+    """Yield the levels k = 0, 1, ... (up to m - 1) of the class walk:
+    dicts from each k-edge mask sigma, ascending, to (cls, ports).  cls[i]
+    is the image of the i-th vertex in X/sigma; ports maps each image
+    vertex, ascending, to the masks of the edges with their head and with
+    their tail in its class.
+
+    The classes of sigma are those of sigma minus its lowest edge, joined
+    across that edge and named by their minimum vertex id; a joined class
+    takes the union of both port masks."""
     at = {v: i for i, v in enumerate(g.vertices)}
     ends = [(at[t], at[h]) for _, t, h in g.edges]
-    # classes[sigma][i]: the image of the i-th vertex in X/sigma
-    classes = {0: g.vertices}
-    for k in range(1, j):
-        level = {}
+    m = len(ends)
+    ports = {v: (0, 0) for v in sorted(g.vertices)}
+    for i, (_, t, h) in enumerate(g.edges):
+        into, out = ports[h]
+        ports[h] = into | 1 << i, out
+        into, out = ports[t]
+        ports[t] = into, out | 1 << i
+    level = {0: (g.vertices, ports)}
+    yield level
+    for k in range(1, m):
+        prev, level = level, {}
         for sigma in subset_masks(m, k):
             low = sigma & -sigma
-            cls = classes[sigma ^ low]
+            cls, ports = prev[sigma ^ low]
             t, h = ends[low.bit_length() - 1]
             a, b = cls[t], cls[h]
             if a != b:
                 if a > b:
                     a, b = b, a
                 cls = tuple([a if c == b else c for c in cls])
-            level[sigma] = cls
-        classes = level
-    # each surviving edge owns its own column sigma | e, so a row never
-    # gets two entries in one column and every entry is +-1; columns grow
-    # with the edge position, so every row comes out sorted
-    plus = {mask: (c, 1) for c, mask in enumerate(basis)}
-    minus = {mask: (c, -1) for c, mask in enumerate(basis)}
-    edges = [(1 << i, t, h) for i, (t, h) in enumerate(ends) if t != h]
-    rows = []
-    labels = []
-    for sigma, cls in classes.items():
-        incident: dict[int, list[tuple[int, int]]] = {
-            v: [] for v in sorted(set(cls))}
-        for bit, t, h in edges:
-            if sigma & bit:
-                continue
-            tail, head = cls[t], cls[h]
-            if tail != head:
-                incident[head].append(plus[sigma | bit])
-                incident[tail].append(minus[sigma | bit])
-        for v, row in incident.items():
-            rows.append(tuple(row))
-            labels.append((sigma, v))
-    return RelationMatrix(j, basis, tuple(rows), tuple(labels))
+                ports = ports.copy()
+                (into_a, out_a), (into_b, out_b) = ports[a], ports.pop(b)
+                ports[a] = into_a | into_b, out_a | out_b
+            level[sigma] = cls, ports
+        yield level
+
+
+def _level_rows(level) -> list[tuple[int, int, int, int]]:
+    """The edge-mask rows of degree k + 1 from the classes of level k.  An
+    edge with both ends in v's class (a loop of X/sigma, every edge of sigma
+    among them) is in both port masks and so in neither plus nor minus."""
+    return [(sigma, v, into & ~out, out & ~into)
+            for sigma, (_, ports) in level.items()
+            for v, (into, out) in ports.items()]
 
 
 def rank_sequence(g: Graph) -> tuple[int, ...]:

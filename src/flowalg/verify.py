@@ -2,12 +2,17 @@
 runnable per graph and over the whole small-multigraph corpus.
 
 Orientation-invariance trials re-run the full pipeline on re-oriented
-copies.  Each rebuilt relation matrix is compared with the reference one:
-reversing the edges in a flip set F negates an entry of row (sigma, v) at
-column c exactly when c and sigma differ in an odd number of edges of F, so
-a faithful rebuild equals R M D for +-1 diagonals R and D and has the
-reference rank, which was computed by exact elimination.  A rebuilt matrix
-of any other form is ranked by exact elimination itself.
+copies.  Each copy's relation rows come from a class walk of its own, held
+as edge masks: row (sigma, v) keeps the mask of the edges outside sigma that
+enter v's class in X/sigma (plus) and of those that leave it (minus).
+Reversing the edges of a flip set F moves exactly those edges between the
+two masks, so a faithful rebuild of each row is plus & ~F | minus & F,
+minus & ~F | plus & F under the same label.  That is the reference entry at
+column sigma | e negated exactly when e is in F: the rebuilt matrix is R M D
+for +-1 diagonals R and D (the parities of F on each row's sigma and each
+column's subset) and has the reference rank, which was computed by exact
+elimination.  A degree whose rows fail the rule is expanded to its matrix
+and ranked by exact elimination itself.
 
 Re-orienting keeps the maximal forest and the chords, and each basic flow
 becomes s_c D beta_c, with D the +-1 diagonal of the flips and s_c = -1
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
@@ -32,8 +38,8 @@ from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
-from .relations import (RelationMatrix, circulation_from_coords,
-                        integral_circulations, rank_sequence, relation_matrix,
+from .relations import (circulation_from_coords, edge_mask_rows,
+                        expand_mask_rows, integral_circulations, rank_sequence,
                         torsion_check)
 from .report import CheckReport
 from .tutte import complexity, poincare
@@ -46,30 +52,29 @@ def trimmed(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_signed_copy(rel: RelationMatrix, ref: RelationMatrix,
-                    flip_mask: int) -> bool:
-    """Whether ``rel`` equals R ref D, with R and D the +-1 diagonals of the
-    flip parity of each row's sigma and each column's subset."""
-    if rel.row_labels != ref.row_labels:
-        return False
-    col_sign = [-1 if (mask & flip_mask).bit_count() & 1 else 1
-                for mask in ref.basis]
-    for (sigma, _), row, ref_row in zip(ref.row_labels, rel.rows, ref.rows):
-        s = -1 if (sigma & flip_mask).bit_count() & 1 else 1
-        if row != tuple([(c, v * s * col_sign[c]) for c, v in ref_row]):
-            return False
-    return True
+def _is_flipped_copy(rows: list[tuple], ref: list[tuple],
+                     flip_mask: int) -> bool:
+    """Whether the edge-mask rows ``rows`` are the rows ``ref`` with the
+    edges of ``flip_mask`` moved between plus and minus, label for label:
+    the rows of R ref D, with R and D the +-1 diagonals of the flip parity
+    of each row's sigma and each column's subset."""
+    keep = ~flip_mask
+    return rows == [(sigma, v, plus & keep | minus & flip_mask,
+                     minus & keep | plus & flip_mask)
+                    for sigma, v, plus, minus in ref]
 
 
-def _same_rank_sequence(g2: Graph, refs: list[RelationMatrix],
+def _same_rank_sequence(g2: Graph, refs: list[list[tuple]],
                         ref_d: tuple[int, ...], flip_mask: int) -> bool:
     """Exact check that the re-oriented graph has the rank sequence
-    ``ref_d``: a signed copy of the reference matrix has its rank, and any
-    other rebuilt matrix is ranked by exact elimination."""
-    for j, ref in enumerate(refs):
-        rel = relation_matrix(g2, j)
-        if (not _is_signed_copy(rel, ref, flip_mask)
-                and rank_int_rows(rel.rows) != rel.num_columns - ref_d[j]):
+    ``ref_d``: a degree whose rows are a flipped copy of the reference rows
+    has their rank, and any other degree is expanded and ranked by exact
+    elimination."""
+    m = g2.num_edges
+    for j, (rows, ref) in enumerate(zip(edge_mask_rows(g2), refs)):
+        if (not _is_flipped_copy(rows, ref, flip_mask)
+                and rank_int_rows(expand_mask_rows(m, j, rows).rows)
+                != comb(m, j) - ref_d[j]):
             return False
     return True
 
@@ -235,14 +240,17 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     A trial whose re-oriented copy equals one already checked (the same
     flips, or flips that differ only on loops) is not run again: every
     stage is a deterministic function of the graph, so it would repeat the
-    same answer."""
+    same answer.  A negative trial count or theta bound raises
+    ``InputError`` before any trial runs."""
     if trials < 0:
         raise InputError(f"trial count {trials} is negative")
+    if theta_bound < 0:
+        raise InputError(f"theta bound {theta_bound} is negative")
     ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref_lat = lattice(g)
     ref_theta = None  # computed only if a Gram fails the sign rule
-    refs = [relation_matrix(g, j) for j in range(g.num_edges + 1)]
+    refs = edge_mask_rows(g)
     rng = random.Random(seed)
     ids = list(g.edge_ids)
     checked = set()

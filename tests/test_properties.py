@@ -6,13 +6,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, nilpotence)
 from flowalg.graph import build, complete_graph, cycle_graph
-from flowalg.relations import relation_matrix
-from flowalg.verify import _is_signed_copy, multiplication_rank_check
+from flowalg.relations import (edge_mask_rows, expand_mask_rows,
+                               relation_matrix)
+from flowalg.verify import _is_flipped_copy, multiplication_rank_check
 
 RINGS = [QQ, ZZ, GF(2), GF(3), GF(5)]
 
@@ -191,16 +192,23 @@ def test_multiplication_rank_small_corpus(corpus4):
     assert multiplication_rank_check(cycle_graph(6))
 
 
+graph_ends = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                      min_size=1, max_size=6)
+
+
+def _numbered(ends):
+    return build([(i, t, h) for i, (t, h) in enumerate(ends, start=1)])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
-                min_size=1, max_size=6),
-       st.integers(min_value=0, max_value=63))
+@given(graph_ends, st.integers(min_value=0, max_value=63))
 def test_reoriented_relation_matrix_is_signed_reference(ends, flip_mask):
     # Reversing an edge negates exactly its entries: in row (sigma, v) the
     # entry at column c changes sign iff the edge c adds to sigma is flipped.
-    g = build([(i, t, h) for i, (t, h) in enumerate(ends, start=1)])
+    g = _numbered(ends)
     flip_mask &= (1 << g.num_edges) - 1
     g2 = g.reorient(g.ids_of(flip_mask))
+    refs, rebuilt = edge_mask_rows(g), edge_mask_rows(g2)
     for j in range(g.num_edges + 1):
         ref = relation_matrix(g, j)
         rel = relation_matrix(g2, j)
@@ -210,4 +218,33 @@ def test_reoriented_relation_matrix_is_signed_reference(ends, flip_mask):
                   for c, v in row)
             for (sigma, _), row in zip(ref.row_labels, ref.rows))
         assert rel.rows == signed
-        assert _is_signed_copy(rel, ref, flip_mask)
+        assert _is_flipped_copy(rebuilt[j], refs[j], flip_mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_ends)
+def test_edge_mask_rows_expand_to_the_relation_matrix(ends):
+    g = _numbered(ends)
+    m = g.num_edges
+    rows = edge_mask_rows(g)
+    assert len(rows) == m + 1
+    for j in range(m + 1):
+        assert expand_mask_rows(m, j, rows[j]) == relation_matrix(g, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_ends, st.integers(min_value=0, max_value=63),
+       st.integers(min_value=0, max_value=5))
+def test_flipped_copy_test_needs_the_true_flip_mask(ends, flip_mask, pick):
+    g = _numbered(ends)
+    non_loops = [i for i, (_, t, h) in enumerate(g.edges) if t != h]
+    assume(non_loops)
+    flip_mask &= (1 << g.num_edges) - 1
+    wrong = flip_mask ^ 1 << non_loops[pick % len(non_loops)]
+    refs = edge_mask_rows(g)
+    rebuilt = edge_mask_rows(g.reorient(g.ids_of(flip_mask)))
+    assert all(_is_flipped_copy(rows, ref, flip_mask)
+               for rows, ref in zip(rebuilt, refs))
+    # degree 1 has the rows of X itself, where every non-loop edge has an
+    # entry
+    assert not _is_flipped_copy(rebuilt[1], refs[1], wrong)
