@@ -18,6 +18,7 @@ sequence independently of the Tutte route.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
@@ -82,11 +83,13 @@ def edge_mask_rows(g: Graph) -> list[list[tuple[int, int, int, int]]]:
     and leave v's class."""
     m = g.num_edges
     require_capacity(m)
-    return [[], *map(_level_rows, islice(_class_levels(g), m))]
+    return [[], *(list(_level_rows(level))
+                  for level in islice(_class_levels(g), m))]
 
 
 def expand_mask_rows(m: int, j: int,
-                     rows: list[tuple[int, int, int, int]]) -> RelationMatrix:
+                     rows: Iterable[tuple[int, int, int, int]]
+                     ) -> RelationMatrix:
     """The degree-j relation matrix of an m-edge graph from its edge-mask
     rows: edge e of row (sigma, v, plus, minus) is the entry at column
     sigma | e, +1 if e is in plus and -1 if it is in minus."""
@@ -97,7 +100,8 @@ def expand_mask_rows(m: int, j: int,
     pos = {mask: (c, 1) for c, mask in enumerate(basis)}
     neg = {mask: (c, -1) for c, mask in enumerate(basis)}
     out = []
-    for sigma, _, plus, minus in rows:
+    labels = []
+    for sigma, v, plus, minus in rows:
         row = []
         both = plus | minus
         while both:
@@ -105,11 +109,11 @@ def expand_mask_rows(m: int, j: int,
             both ^= bit
             row.append((pos if plus & bit else neg)[sigma | bit])
         out.append(tuple(row))
-    return RelationMatrix(j, basis, tuple(out),
-                          tuple([(sigma, v) for sigma, v, _, _ in rows]))
+        labels.append((sigma, v))
+    return RelationMatrix(j, basis, tuple(out), tuple(labels))
 
 
-def _class_levels(g: Graph):
+def _class_levels(g: Graph) -> Iterator[dict]:
     """Yield the levels k = 0, 1, ... (up to m - 1) of the class walk:
     dicts from each k-edge mask sigma, ascending, to (cls, ports).  cls[i]
     is the image of the i-th vertex in X/sigma; ports maps each image
@@ -145,16 +149,17 @@ def _class_levels(g: Graph):
                 (into_a, out_a), (into_b, out_b) = ports[a], ports.pop(b)
                 ports[a] = into_a | into_b, out_a | out_b
             level[sigma] = cls, ports
+        del prev  # a caller that holds this level keeps no other alive
         yield level
 
 
-def _level_rows(level) -> list[tuple[int, int, int, int]]:
+def _level_rows(level) -> Iterator[tuple[int, int, int, int]]:
     """The edge-mask rows of degree k + 1 from the classes of level k.  An
     edge with both ends in v's class (a loop of X/sigma, every edge of sigma
     among them) is in both port masks and so in neither plus nor minus."""
-    return [(sigma, v, into & ~out, out & ~into)
+    return ((sigma, v, into & ~out, out & ~into)
             for sigma, (_, ports) in level.items()
-            for v, (into, out) in ports.items()]
+            for v, (into, out) in ports.items())
 
 
 def rank_sequence(g: Graph) -> tuple[int, ...]:
