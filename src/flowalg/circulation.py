@@ -5,7 +5,9 @@ subset convolution, dual to the splitting comultiplication on subsets.  The
 module provides the combinatorial exponential and divided powers, nilpotence
 degrees, the basic-flow monomial spanning sets whose ranks reproduce the
 graded rank sequence, pseudopower (Macaulay) bounds and the structured
-inequality verifier.
+inequality verifier.  The monomials of all degrees come from one walk over
+the chords that multiplies each shared prefix once; their tables, keyed by
+subset mask, are ranked as they are.
 
 Coefficients live in Q, Z, or a prime field F_p with p <= 97.
 """
@@ -17,8 +19,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
-from .errors import (CapacityError, InputError, check_failed,
-                     require_capacity)
+from .errors import InputError, check_failed, require_capacity
 from .graph import Graph, _components
 from .linalg import rank_int_rows
 from .report import CheckReport
@@ -195,8 +196,7 @@ def exponential(phi: Circulation) -> Circulation:
     union = 0
     for m in phi.table:
         union |= m
-    if union.bit_count() > 20:
-        raise CapacityError("exponential support exceeds 20 edges")
+    require_capacity(union.bit_count())
     memo: dict[int, object] = {0: ring.coerce(1)}
 
     def exp_at(mask: int):
@@ -275,50 +275,37 @@ def basic_flow_circulations(g: Graph) -> dict[int, Circulation]:
             for c in g.chords(forest)}
 
 
-def _compositions(total: int, caps: list[int]):
-    """All tuples j with sum(j) = total and 0 <= j[i] <= caps[i]."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for head in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - head, caps[1:]):
-            yield (head,) + rest
-
-
 def monomial_dimensions(g: Graph) -> list[int]:
     """Per-degree rank of the evaluation matrix of capped basic-flow
     divided-power monomials on the subset basis.
 
-    The cap for each chord is the length of its fundamental cycle.  The
-    resulting sequence equals the graded rank sequence; it is returned with
-    trailing zeros trimmed.
+    The cap for each chord is the length of its fundamental cycle.  One walk
+    over the chords builds every nonzero monomial, of every degree: each
+    product so far is extended by each divided power of the next chord's
+    basic flow up to its cap, so a shared prefix is multiplied once.  A
+    zero product ends its branch.  Each product's table, keyed by subset
+    mask, is a row of its degree's matrix.  The resulting sequence equals
+    the graded rank sequence; it is returned with trailing zeros trimmed.
     """
     m = g.num_edges
     require_capacity(m)
     flows = basic_flow_circulations(g)
-    chords = sorted(flows)
-    caps = []
-    power_tables: list[list[Circulation]] = []
-    for c in chords:
+    products = [Circulation.unit(ZZ)]
+    for c in sorted(flows):
         beta = flows[c]
-        r = len(beta.table)
-        caps.append(r)
-        power_tables.append([divided_power(beta, k) for k in range(r + 1)])
-    dims = []
-    for j in range(m + 1):
-        cols = {mask: idx
-                for idx, mask in enumerate(subset_masks(m, j))}
-        rows = []
-        for jvec in _compositions(j, caps):
-            prod = Circulation.unit(ZZ)
-            for idx, power in enumerate(jvec):
-                if power:
-                    prod = prod * power_tables[idx][power]
-            if not prod.is_zero():
-                rows.append({cols[mask]: int(v)
-                             for mask, v in prod.table.items()})
-        dims.append(rank_int_rows(rows))
+        powers = [divided_power(beta, k) for k in range(1, len(beta.table) + 1)]
+        for prod in list(products):
+            for power in powers:
+                ext = prod * power
+                if ext.is_zero():
+                    # (k+1) beta^(k+1) = beta^(k) beta and integer tables
+                    # have no torsion, so every higher power gives zero too
+                    break
+                products.append(ext)
+    rows: list[list[dict[int, int]]] = [[] for _ in range(m + 1)]
+    for prod in products:
+        rows[next(iter(prod.table)).bit_count()].append(prod.table)
+    dims = [rank_int_rows(tables) for tables in rows]
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
     return dims

@@ -85,7 +85,9 @@ def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
 def rank_int_rows(rows) -> int:
     """Rank of an integer matrix given as sparse rows: dicts (column ->
     value) or sequences of (column, value) pairs, every stored value nonzero.
-    The rank is the number of pivot rows of :func:`_echelon`."""
+    A column may be any integer, such as a subset mask, because a rank does
+    not depend on the order of the columns.  The rank is the number of pivot
+    rows of :func:`_echelon`."""
     return len(_echelon(rows))
 
 

@@ -4,14 +4,16 @@ from math import comb
 
 import pytest
 
+import flowalg.errors as errors
 from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, monomial_dimensions, nilpotence,
                                  pseudopower, relation_membership_check,
                                  verify_inequalities)
-from flowalg.errors import CheckError, InputError
+from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
                            path_graph)
 from flowalg.tutte import poincare
+from flowalg.verify import trimmed
 
 circulation_mod = importlib.import_module("flowalg.circulation")
 
@@ -62,6 +64,14 @@ def test_exponential_is_homomorphism():
     assert exponential(phi + theta) == exponential(phi) * exponential(theta)
 
 
+def test_exponential_support_ceiling(monkeypatch):
+    monkeypatch.setattr(errors, "MAX_SUBSET_EDGES", 2)
+    phi = Circulation(ZZ, {0b1: 1, 0b110: 1})
+    with pytest.raises(CapacityError):
+        exponential(phi)
+    assert exponential(Circulation(ZZ, {0b11: 1})).table == {0: 1, 0b11: 1}
+
+
 def test_exponential_matches_power_series_over_q():
     phi = Circulation(QQ, {0b001: 1, 0b010: -2, 0b100: Fraction(3, 2)})
     exp = exponential(phi)
@@ -109,6 +119,13 @@ def test_monomial_dimensions_examples():
     for n in (2, 3, 4, 5):
         assert monomial_dimensions(cycle_graph(n)) == [1] * (n + 1)
     assert monomial_dimensions(path_graph(4)) == [1]
+
+
+def test_monomial_dimensions_match_tutte_above_seven_edges(fig1_left,
+                                                          fig1_right):
+    for g in (complete_graph(5), fig1_left, fig1_right):
+        assert g.num_edges == 10
+        assert tuple(monomial_dimensions(g)) == trimmed(poincare(g))
 
 
 def test_pseudopower_values():

@@ -19,7 +19,7 @@ count and Python version.
 
 Run from a checkout; the change is its ``HEAD``:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 11 --pairs 6
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 11 --pairs 10
 
 On a 2-CPU machine a run takes about 35 s on average, so 10 pairs of all
 three workloads take about 35 min.
@@ -114,7 +114,7 @@ def main() -> int:
                     help="the git revision to compare against")
     ap.add_argument("--pr", required=True,
                     help="the output is BENCH_<pr>.json at the root")
-    ap.add_argument("--pairs", type=int, default=6)
+    ap.add_argument("--pairs", type=int, default=10)
     a = ap.parse_args()
     if a.pairs < 1:
         ap.error("--pairs must be at least 1")
