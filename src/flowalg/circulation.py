@@ -270,9 +270,8 @@ def nilpotence(phi: Circulation) -> int:
 
 def basic_flow_circulations(g: Graph) -> dict[int, Circulation]:
     """Chord id -> degree-1 integer circulation of its basic flow."""
-    forest = g.maximal_forest()
-    return {c: Circulation.from_edge_vector(ZZ, g.basic_flow(forest, c))
-            for c in g.chords(forest)}
+    return {c: Circulation.from_edge_vector(ZZ, flow)
+            for c, flow in g.basic_flows(g.maximal_forest()).items()}
 
 
 def monomial_dimensions(g: Graph) -> list[int]:

@@ -189,19 +189,59 @@ class Graph:
         forest = self._check_subset(forest)
         if c in forest:
             raise InputError(f"edge {c} lies in the forest")
+        self.edge(c)
+        return self.basic_flows(forest)[c]
+
+    def basic_flows(self, forest: Iterable[int]) -> dict[int, tuple[int, ...]]:
+        """Chord id -> :meth:`basic_flow` of that chord, in ascending chord
+        id order.  The forest is checked once, and every fundamental cycle
+        is read from one rooted BFS tree of it: the chord's ends climb to
+        their common ancestor."""
+        forest = self._check_subset(forest)
         if not _is_maximal_forest(self, forest):
             raise InputError("given edge set is not a maximal forest")
-        _, tail_c, head_c = self.edge(c)
-        flow = [0] * self.num_edges
-        flow[self.position(c)] = 1
-        if tail_c == head_c:
-            return tuple(flow)
-        path = _forest_path(self, forest, head_c, tail_c)
-        if path is None:
-            raise InputError("forest does not connect the endpoints of the chord")
-        for eid, forward in path:
-            flow[self.position(eid)] = 1 if forward else -1
-        return tuple(flow)
+        adj: dict[int, list[tuple[int, int, int]]] = {
+            v: [] for v in self.vertices}
+        for eid, t, h in self.edges:
+            if eid in forest:
+                # sign of the edge when walked away from this end
+                adj[t].append((eid, h, 1))
+                adj[h].append((eid, t, -1))
+        # vertex -> (parent, position of the tree edge, sign walked down
+        # from the parent, depth); roots have no parent
+        up: dict[int, tuple[int, int, int, int]] = {}
+        for root in self.vertices:
+            if root in up:
+                continue
+            up[root] = (root, -1, 0, 0)
+            queue = [root]
+            while queue:
+                nxt = []
+                for u in queue:
+                    depth = up[u][3] + 1
+                    for eid, other, sign in adj[u]:
+                        if other not in up:
+                            up[other] = (u, self._pos[eid], sign, depth)
+                            nxt.append(other)
+                queue = nxt
+        flows = {}
+        for c in self.chords(forest):
+            _, tail_c, head_c = self._by_id[c]
+            flow = [0] * self.num_edges
+            flow[self._pos[c]] = 1
+            # the cycle runs head_c -> tail_c through the tree: up from
+            # head_c against each tree edge's downward sign, down to tail_c
+            # with it
+            a, b = head_c, tail_c
+            while a != b:
+                if up[a][3] >= up[b][3]:
+                    a, i, sign, _ = up[a]
+                    flow[i] = -sign
+                else:
+                    b, i, sign, _ = up[b]
+                    flow[i] = sign
+            flows[c] = tuple(flow)
+        return flows
 
     def girth(self):
         """Length of a shortest cycle: 1 for a loop, 2 for a parallel pair;
@@ -305,38 +345,6 @@ def _is_maximal_forest(g: Graph, edge_set: frozenset[int]) -> bool:
     # as the host graph
     return (g.num_vertices - n_forest == k_sub
             and k_sub == g.num_components)
-
-
-def _forest_path(g: Graph, forest, start, goal):
-    """BFS path through forest edges; returns [(edge id, traversed
-    tail->head?)] or None."""
-    if start == goal:
-        return []
-    adj: dict[int, list[tuple[int, int, bool]]] = {v: [] for v in g.vertices}
-    for eid, t, h in g.edges:
-        if eid in forest:
-            adj[t].append((eid, h, True))
-            adj[h].append((eid, t, False))
-    prev: dict[int, tuple[int, int, bool] | None] = {start: None}
-    queue = [start]
-    while queue and goal not in prev:
-        nxt = []
-        for u in queue:
-            for eid, other, fwd in adj[u]:
-                if other not in prev:
-                    prev[other] = (u, eid, fwd)
-                    nxt.append(other)
-        queue = nxt
-    if goal not in prev:
-        return None
-    path = []
-    v = goal
-    while prev[v] is not None:
-        u, eid, fwd = prev[v]
-        path.append((eid, fwd))
-        v = u
-    path.reverse()
-    return path
 
 
 def _dist_avoiding(g: Graph, start, goal, avoid_eid):

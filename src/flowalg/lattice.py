@@ -148,9 +148,9 @@ def norm_identity_check(g: Graph, eid: int) -> bool:
 def lattice(g: Graph) -> FlowLattice:
     """Basic-flow basis and Gram matrix; the determinant is computed exactly
     and asserted equal to the number of maximal forests."""
-    forest = g.maximal_forest()
-    chords = g.chords(forest)
-    basis = [g.basic_flow(forest, c) for c in chords]
+    flows = g.basic_flows(g.maximal_forest())
+    chords = tuple(flows)
+    basis = list(flows.values())
     gram = [[_dot(b1, b2) for b2 in basis] for b1 in basis]
     det = det_int(gram)
     kappa = complexity(g)
@@ -198,8 +198,8 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
     Raises ``CapacityError`` before building any representative if their
     number exceeds ``MAX_COSET_REPRESENTATIVES``.
     """
-    forest = g.maximal_forest()
-    remaining = list(g.chords(forest))
+    flows = g.basic_flows(g.maximal_forest())
+    remaining = list(flows)
     chords, indices, rescaled = [], [], []
     sub = g
     while remaining:
@@ -229,7 +229,7 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
                 raise check_failed(
                     g, "orthogonality", f"characteristic flows of chords "
                     f"{chords[h]} and {chords[k]} are not orthogonal")
-    basis = [g.basic_flow(forest, c) for c in chords]
+    basis = [flows[c] for c in chords]
     reps = [tuple(0 for _ in range(g.num_edges))]
     for b, r in zip(basis, indices):
         reps = [tuple(x + gi * bi for x, bi in zip(vec, b))

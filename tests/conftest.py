@@ -1,10 +1,12 @@
 import pathlib
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
+from flowalg.graph import Graph, build
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 
@@ -36,6 +38,65 @@ def rref(mat):
         if r == rows:
             break
     return m, pivots
+
+
+def reference_key(g):
+    """Isomorphism-invariant key by brute force: the vertex count and the
+    least sorted relabelled edge list over every vertex order compatible
+    with three rounds of degree refinement.  A reference for
+    ``flowalg.corpus.canonical_key``; factorial in the class sizes, so only
+    for small graphs."""
+    verts = list(g.vertices)
+    loops = {v: 0 for v in verts}
+    nbrs = {v: {} for v in verts}
+    for _, t, h in g.edges:
+        if t == h:
+            loops[t] += 1
+        else:
+            nbrs[t][h] = nbrs[t].get(h, 0) + 1
+            nbrs[h][t] = nbrs[h].get(t, 0) + 1
+    color = {v: (loops[v], sum(nbrs[v].values())) for v in verts}
+    for _ in range(3):
+        color = {v: (color[v],
+                     tuple(sorted((color[u], mult)
+                                  for u, mult in nbrs[v].items())))
+                 for v in verts}
+    classes = {}
+    for v in verts:
+        classes.setdefault(color[v], []).append(v)
+    best = None
+    for combo in product(*(permutations(classes[c]) for c in sorted(classes))):
+        index = {v: i for i, v in enumerate(v for cls in combo for v in cls)}
+        key = tuple(sorted((min(index[t], index[h]), max(index[t], index[h]))
+                           for _, t, h in g.edges))
+        if best is None or key < best:
+            best = key
+    return (len(verts), best)
+
+
+def reference_multigraphs(max_edges):
+    """The corpus grown as ``connected_multigraphs`` grows it (each graph
+    extended by a new edge between two of its vertices, then by a pendant
+    vertex, in that order), deduplicated by ``reference_key``."""
+    seed = build([], isolated=[1])
+    out, frontier, seen = [seed], [seed], {reference_key(seed)}
+    for m in range(1, max_edges + 1):
+        level = []
+        for g in frontier:
+            verts = g.vertices
+            new_v = verts[-1] + 1
+            cands = [Graph(verts, g.edges + ((m, u, v),))
+                     for i, u in enumerate(verts) for v in verts[i:]]
+            cands += [Graph(verts + (new_v,), g.edges + ((m, u, new_v),))
+                      for u in verts]
+            for cand in cands:
+                key = reference_key(cand)
+                if key not in seen:
+                    seen.add(key)
+                    level.append(cand)
+        out += level
+        frontier = level
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -188,6 +188,13 @@ def test_coset_ceiling_exit_code(capsys, monkeypatch, graph_dir):
     assert doc["kind"] == "capacity"
 
 
+def test_corpus_ceiling_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(errors, "MAX_CORPUS_EDGES", 2)
+    code, doc = run_cli(capsys, "corpus", "--max-edges", "3")
+    assert code == 3
+    assert doc["kind"] == "capacity"
+
+
 def test_report_determinism(capsys, graph_dir):
     _, doc1 = run_cli(capsys, "lattice", str(graph_dir / "k4.g"))
     _, doc2 = run_cli(capsys, "lattice", str(graph_dir / "k4.g"))

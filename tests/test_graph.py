@@ -114,6 +114,12 @@ def test_basic_flow_rejects_bad_input():
         g.basic_flow({1, 2}, 1)  # chord inside forest
     with pytest.raises(InputError):
         g.basic_flow({1}, 3)  # not maximal
+    with pytest.raises(InputError):
+        g.basic_flows({1})  # not maximal
+    with pytest.raises(InputError):
+        g.basic_flows({1, 2, 3})  # not a forest
+    with pytest.raises(InputError):
+        g.basic_flows({1, 9})  # unknown edge
 
 
 def test_girth():

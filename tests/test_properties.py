@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, nilpotence)
+from flowalg.corpus import connected_multigraphs
 from flowalg.graph import build, complete_graph, cycle_graph
 from flowalg.relations import (edge_mask_rows, expand_mask_rows,
                                relation_matrix)
@@ -168,6 +169,20 @@ def test_basic_flows_are_flows(corpus5):
             for v in g.vertices:
                 row = g.incidence_row(v)
                 assert sum(a * b for a, b in zip(row, flow)) == 0
+
+
+def test_basic_flows_read_from_one_tree():
+    for g in connected_multigraphs(6):
+        forest = g.maximal_forest()
+        chords = g.chords(forest)
+        flows = g.basic_flows(forest)
+        assert tuple(flows) == chords
+        for c, flow in flows.items():
+            for v in g.vertices:
+                row = g.incidence_row(v)
+                assert sum(a * b for a, b in zip(row, flow)) == 0
+            assert [flow[g.position(d)] for d in chords] == [
+                int(d == c) for d in chords]
 
 
 def test_flow_closure(corpus4):

@@ -11,7 +11,7 @@ polynomial and compare the theta series of every Tutte-equal pair up to
 norm 8, reporting where each differing pair first differs and its numbers
 of flows of norm 7.
 
-Run from a checkout; n = 7 takes about 45 s on one core.  The committed
+Run from a checkout; n = 7 takes about 40 s on one core.  The committed
 output, ``figure_pair_search.out``, is that of:
 
     PYTHONPATH=src python3 tools/figure_pair_search.py 6 7
