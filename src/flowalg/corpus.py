@@ -135,18 +135,15 @@ def connected_multigraphs(max_edges: int) -> list[Graph]:
     if max_edges in _cache:
         return _cache[max_edges]
     base = max((k for k in _cache if k < max_edges), default=None)
-    if base is not None:
-        out = list(_cache[base])
-        frontier = [g for g in out if g.num_edges == base]
-        seen = {canonical_key(g) for g in out}
-        start = base + 1
+    if base is None:
+        out, base = [build([], isolated=[1])], 0
     else:
-        seed = build([], isolated=[1])
-        out = [seed]
-        frontier = [seed]
-        seen = {canonical_key(seed)}
-        start = 1
-    for _ in range(start, max_edges + 1):
+        out = list(_cache[base])
+    frontier = [g for g in out if g.num_edges == base]
+    for _ in range(base + 1, max_edges + 1):
+        # a key holds the edge list, so graphs of different levels never
+        # share one and the keys of earlier levels are not needed
+        seen = set()
         level = []
         for g in frontier:
             for cand in _extensions(g):

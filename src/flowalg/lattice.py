@@ -11,9 +11,13 @@ asserted where they are cheap and verified corpus-wide by the test suite.
 A coset system can take the chords in any order; the number of coset
 representatives, the product of the chords' integrality indices, depends on
 it.  :func:`coset_system` reports the ascending order by default (this is
-what ``flowalg lattice`` prints), while :func:`theta_product` sums over the
-greedy order, which takes next the chord of smallest index and is usually
-far shorter (1,890 terms instead of 74,340 on the left Figure 1 graph).
+what ``flowalg lattice`` prints), while :func:`theta_product` takes the
+greedy order, which takes next the chord of smallest index and usually
+needs far fewer representatives (1,890 instead of 74,340 on the left
+Figure 1 graph).  It does not sum over the representatives one by one: the
+factor of each chord depends only on the coefficients of the chords taken
+up to it, so the sum is a recursion over the chords whose states, residues
+mod the chord weights, merge (at most 36 of them on that graph).
 """
 
 from __future__ import annotations
@@ -250,33 +254,85 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
 
 def theta_product(g: Graph, bound) -> QSeries:
     """Theta function of the integer flow lattice via the orthogonal coset
-    factorization: a sum over coset representatives of products of
-    translated one-dimensional theta series.
+    factorization: a sum over the coset representatives
+    lambda = sum_i g_i b_i (0 <= g_i < r_i, b_i the basic flow of the i-th
+    chord) of the products over k of psi(<lambda, phi_k> / w_k mod 1, w_k).
 
-    The coset system is taken in the greedy chord order (see
-    :func:`coset_system`), which usually needs far fewer representatives;
-    the ascending order that ``flowalg lattice`` reports yields the same
-    series.  Each psi series is computed once per call for each
-    (translation mod 1, weight): psi sums over all integers n, so it does
-    not change when the translation moves by an integer.
+    The sum is taken by a recursion over the chords, in the greedy order of
+    :func:`coset_system`.  For i > k, b_i vanishes on the chords 1..k: it
+    is a flow of the subgraph in which phi_k was computed, with value 0 on
+    chord k, so <b_i, phi_k> = 0 (checked).  So the factor of chord k
+    depends only on g_1..g_k.  After choosing g_1..g_i, a state is the residues of
+    <lambda, phi_k> mod w_k for the chords k > i not yet taken; states that
+    agree merge and their series add, and the factor of chord i multiplies
+    each merged series once.  Each psi series is computed once per call for
+    each (translation mod 1, weight): psi sums over all integers n, so it
+    does not change when the translation moves by an integer.  Inner series
+    are dicts keyed by exponent times lcm(w), which are integers.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     system = coset_system(g, greedy=True)
-    psi_cache: dict[tuple[Fraction, int], QSeries] = {}
-    acc: dict[Fraction, int] = {}
-    for lam in system.representatives:
-        term = QSeries.one(bound)
-        for phi, w in zip(system.rescaled, system.weights):
-            key = (Fraction(_dot(lam, phi), w) % 1, w)
-            psi = psi_cache.get(key)
-            if psi is None:
-                psi = psi_cache[key] = psi_series(*key, bound)
-            term = term * psi
-        for e, c in term.terms:
-            acc[e] = acc.get(e, 0) + c
-    total = QSeries.from_dict(acc, bound)
+    flows = g.basic_flows(g.maximal_forest())
+    phis, weights = system.rescaled, system.weights
+    n = len(phis)
+    # pairing[i][k] = <b_i, phi_k>, zero for i > k
+    pairing = [[_dot(flows[c], phi) for phi in phis] for c in system.chords]
+    for i in range(n):
+        for k in range(i):
+            if pairing[i][k]:
+                raise check_failed(
+                    g, "triangularity", f"basic flow of chord "
+                    f"{system.chords[i]} has product {pairing[i][k]} with the "
+                    f"rescaled flow of chord {system.chords[k]}, taken "
+                    f"before it")
+    scale = lcm(*weights)
+    limit = floor(bound * scale)
+    psi_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def psi(s: int, w: int) -> list[tuple[int, int]]:
+        """psi(s / w, w) as ascending (scaled exponent, coefficient)."""
+        terms = psi_cache.get((s, w))
+        if terms is None:
+            terms = []
+            for e, c in psi_series(Fraction(s, w), w, bound).terms:
+                e *= scale
+                if e.denominator != 1:
+                    raise check_failed(g, "psi exponent scaling",
+                                       f"psi exponent {e / scale} times "
+                                       f"{scale} is not an integer")
+                terms.append((int(e), c))
+            psi_cache[(s, w)] = terms
+        return terms
+
+    states: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
+    for i in range(n):
+        steps, mods = pairing[i][i:], weights[i:]
+        # residues of chords i.. after choosing g_i, with the series summed
+        merged: dict[tuple[int, ...], dict[int, int]] = {}
+        for res, series in states.items():
+            for gi in range(system.indices[i]):
+                key = tuple((s + gi * d) % w
+                            for s, d, w in zip(res, steps, mods))
+                acc = merged.get(key)
+                if acc is None:
+                    merged[key] = dict(series)
+                else:
+                    for e, c in series.items():
+                        acc[e] = acc.get(e, 0) + c
+        states = {}
+        for key, series in merged.items():
+            factor = psi(key[0], mods[0])
+            acc = states.setdefault(key[1:], {})
+            for e1, c1 in series.items():
+                room = limit - e1
+                for e2, c2 in factor:
+                    if e2 > room:
+                        break
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    total = QSeries.from_dict(
+        {Fraction(e, scale): c for e, c in states[()].items()}, bound)
     if not total.has_integer_exponents():
         raise check_failed(g, "integer exponents",
                            "theta product has a non-integer exponent")

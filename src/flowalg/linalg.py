@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals and the integers.
 
 Everything here is exact: matrices hold Python ints or ``Fraction``s and no
-floating point enters any code path.  Dense routines are adequate at the
-working scale (tens of rows and columns).  The relation matrices and the
-monomial evaluation matrices are ranked by :func:`rank_int_rows`, a sparse
+floating point enters any code path.  The eliminations work on sparse rows
+(dicts column -> value), because relation matrices of a few hundred rows
+are mostly zeros; only the small square routines (the Bareiss determinant
+and the LDL^T data of a Gram matrix) are dense.  The relation matrices and
+the monomial evaluation matrices are ranked by :func:`rank_int_rows`, a
 row-by-row echelon reduction in integers.  One integer lattice reduction,
-the row Hermite form of :func:`hermite_rows`, gives both the integer kernels
-and the Smith invariant factors (alternating row Hermite forms).
+the row Hermite form of :func:`hermite_rows`, a unimodular row-by-row
+reduction, gives both the integer kernels and the Smith invariant factors
+(alternating row Hermite forms); it takes and returns dense rows.
 
 Minimum-norm points come from one orthogonal projection onto a kernel,
 computed by a fraction-free integer solve of the Gram system mat mat^T; on
@@ -194,33 +197,80 @@ def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form of any integer matrix, zero rows dropped:
     positive pivots, entries above each pivot reduced into [0, pivot).  The
-    rows left have full rank; an empty matrix gives an empty one."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m
-    nc = len(m[0])
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        # gcd-reduce all rows below against the pivot row
-        for i in range(r + 1, len(m)):
-            while m[i][c] != 0:
-                q = m[r][c] // m[i][c]
-                m[r] = [x - q * y for x, y in zip(m[r], m[i])]
-                m[r], m[i] = m[i], m[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-        for i in range(r):
-            q = m[i][c] // m[r][c]
+    rows left have full rank; an empty matrix gives an empty one.
+
+    The rows are reduced one by one as sparse dicts (column -> value), each
+    step unimodular.  A row's lowest column is cleared against the pivot row
+    that owns it: by an exact multiple when the pivot divides the entry,
+    else by the 2 x 2 extended-Euclid step that leaves their gcd in the
+    pivot row.  Then each pivot is made positive and, in ascending pivot
+    order, the entries above it are reduced.  The Hermite form of a lattice
+    is unique, so the order of the steps does not change the result.
+    """
+    rows = list(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        row = {c: v for c, v in enumerate(dense) if v}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            a, b = piv[c], row[c]
+            if b % a == 0:
+                _add_multiple(row, -(b // a), piv)
+                continue
+            g, s, t = _xgcd(a, b)
+            # [piv; row] <- [[s, t], [-b/g, a/g]] [piv; row], determinant 1
+            pivots[c] = _combination(s, piv, t, row)
+            row = _combination(-(b // g), piv, a // g, row)
+    order = sorted(pivots)
+    for c in order:
+        row = pivots[c]
+        if row[c] < 0:
+            pivots[c] = {k: -v for k, v in row.items()}
+    for k, c in enumerate(order):
+        piv = pivots[c]
+        for above in order[:k]:
+            q = pivots[above].get(c, 0) // piv[c]
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m if any(row)]
+                _add_multiple(pivots[above], -q, piv)
+    return [[row.get(c, 0) for c in range(nc)]
+            for row in (pivots[c] for c in order)]
+
+
+def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:
+    """row += q * other, in place, for sparse integer rows."""
+    for k, v in other.items():
+        nv = row.get(k, 0) + q * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+
+
+def _combination(s: int, u: dict[int, int], t: int, v: dict[int, int]
+                 ) -> dict[int, int]:
+    """The sparse row s * u + t * v, zero entries dropped."""
+    out = {k: s * x for k, x in u.items()} if s else {}
+    _add_multiple(out, t, v)
+    return out
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s a + t b = g, for a, b not
+    both zero."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
 
 
 # -- lattice point enumeration --------------------------------------------

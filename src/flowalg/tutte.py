@@ -172,31 +172,34 @@ def tutte_by_subsets(g: Graph) -> BiPoly:
                     nxt[labels] = nxt.get(labels, 0) + counts
         states = nxt
     total = sum(states.values())
+    # total = sum of c(a, nu) X^(r_full - a) Y^nu over the digits, with
+    # X = 2^bits and Y = 2^null_shift.  Two Horner passes on the packed
+    # integer expand it: X^(r_full - a) -> (1 - X)^a X^(r_full - a) over
+    # the columns, that is x^a -> (x - 1)^a with the x digits reversed, then
+    # Y^nu -> (Y - 1)^nu over the rows.  Every digit in between stays in
+    # [0, 2^bits): after the first pass the digit (i, nu) is
+    # sum_j t_ij C(j, nu) <= T(1, 2) <= 2^m, since Tutte coefficients are
+    # nonnegative, so each pass ends on the plain base-2^bits digits.
     mask = (1 << bits) - 1
-    # by_null[nu][a]: the count of the term (x-1)^a (y-1)^nu
-    by_null = []
-    while total:
-        by_null.append([total >> ((r_full - a) * bits) & mask
-                        for a in range(r_full + 1)])
-        total >>= null_shift
-    # signed binomial rows: (z-1)^a = sum_i pascal[a][i] z^i
-    pascal = [[1]]
-    for _ in range(max(r_full, len(by_null) - 1)):
-        prev = pascal[-1]
-        pascal.append([-prev[0]] + [prev[i - 1] - prev[i]
-                                    for i in range(1, len(prev))] + [1])
-    # expand in x for each nu, then in y for each power of x
+    slot = (1 << null_shift) - 1
+    rows = total.bit_length() // null_shift + 1
+    column = mask * sum(1 << (nu * null_shift) for nu in range(rows))
+    in_x = 0
+    for r in range(r_full + 1):
+        in_x += (total & (column << (r * bits))) - (in_x << bits)
+    packed = 0
+    for nu in reversed(range(rows)):
+        packed = ((packed << null_shift) - packed
+                  + (in_x >> (nu * null_shift) & slot))
     out: dict[tuple[int, int], int] = {}
-    for nu, row in enumerate(by_null):
-        in_x = [0] * (r_full + 1)
-        for a, c in enumerate(row):
+    j = 0
+    while packed:
+        for i in range(r_full + 1):
+            c = packed >> ((r_full - i) * bits) & mask
             if c:
-                for i, p in enumerate(pascal[a]):
-                    in_x[i] += c * p
-        for i, c in enumerate(in_x):
-            if c:
-                for j, p in enumerate(pascal[nu]):
-                    out[(i, j)] = out.get((i, j), 0) + c * p
+                out[(i, j)] = c
+        packed >>= null_shift
+        j += 1
     return BiPoly(out)
 
 

@@ -40,6 +40,39 @@ def rref(mat):
     return m, pivots
 
 
+def reference_hermite_rows(rows):
+    """Row Hermite normal form, zero rows dropped, by dense column-by-column
+    gcd reduction: positive pivots, entries above each pivot reduced into
+    [0, pivot).  A reference for ``flowalg.linalg.hermite_rows``, which
+    reduces sparse rows one by one."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m
+    nc = len(m[0])
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        # gcd-reduce all rows below against the pivot row
+        for i in range(r + 1, len(m)):
+            while m[i][c] != 0:
+                q = m[r][c] // m[i][c]
+                m[r] = [x - q * y for x, y in zip(m[r], m[i])]
+                m[r], m[i] = m[i], m[r]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return [row for row in m if any(row)]
+
+
 def reference_key(g):
     """Isomorphism-invariant key by brute force: the vertex count and the
     least sorted relabelled edge list over every vertex order compatible

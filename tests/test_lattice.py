@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -180,6 +181,14 @@ def test_theta_routes_agree_on_corpus(corpus5):
         assert theta_product(g, 12) == theta_enumerate(g, 12), g.edges
 
 
+def test_theta_routes_agree_beyond_corpus_7():
+    # K5 plus edges parallel to 1-3 and 2-4: 12 edges, 4,725 greedy
+    # coset representatives
+    g = build(complete_graph(5).edges + ((11, 1, 3), (12, 2, 4)))
+    assert prod(coset_system(g, greedy=True).indices) == 4_725
+    assert theta_product(g, 12) == theta_enumerate(g, 12)
+
+
 def test_coset_representative_ceiling(monkeypatch, fig1_right):
     monkeypatch.setattr(errors, "MAX_COSET_REPRESENTATIVES", 100)
     with pytest.raises(CapacityError):
@@ -202,6 +211,22 @@ def test_theta_check_error_names_stage_and_graph(monkeypatch):
     monkeypatch.setattr(lattice_mod, "psi_series",
                         lambda alpha, w, bound: QSeries.zero(bound))
     with pytest.raises(CheckError, match="constant term") as info:
+        theta_product(g, 6)
+    assert str(list(g.edges)) in str(info.value)
+
+
+def test_triangularity_check_names_stage_and_graph(monkeypatch):
+    g = complete_graph(4)
+    real = coset_system
+
+    def reversed_chords(graph, greedy=False):
+        # the last basic flow is then that of the first chord taken, which
+        # pairs to nonzero with the first rescaled flow, its own
+        system = real(graph, greedy=greedy)
+        return replace(system, chords=system.chords[::-1])
+
+    monkeypatch.setattr(lattice_mod, "coset_system", reversed_chords)
+    with pytest.raises(CheckError, match="triangularity") as info:
         theta_product(g, 6)
     assert str(list(g.edges)) in str(info.value)
 

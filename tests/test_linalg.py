@@ -6,13 +6,15 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from flowalg.cli import parse_graph
+from flowalg.corpus import connected_multigraphs
 from flowalg.errors import InfeasibleError, InputError
 from flowalg.graph import build, complete_graph, cycle_graph
+from flowalg.relations import relation_matrix
 from flowalg.linalg import (det_int, enumerate_by_norm, hermite_rows,
                             integer_kernel_basis, min_norm_affine,
                             rank_int_rows, smith_normal_form)
 
-from conftest import rref
+from conftest import reference_hermite_rows, rref
 
 F = Fraction
 
@@ -127,6 +129,30 @@ def test_hermite_rows_normalizes():
     assert 0 <= rows[0][1] < rows[1][1] or rows[1][1] == 0 or rows[0][1] == 0
     # any integer matrix: rank-deficient rows reduce to zero and are dropped
     assert hermite_rows([[2, 4], [1, 2], [0, 0]]) == [[1, 2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_int_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[4, 6], [6, 9], [0, 0]])
+@example([[6, 4, 0], [0, 0, 0], [9, 6, 5], [6, 4, 0]])
+@example([[0, 3, 2], [0, 5, -7], [2, 1, 1]])
+def test_hermite_rows_matches_dense_reference(mat):
+    """Zero rows, repeated rows and pivots that do not divide the entries
+    below them, on the matrix and on its transpose."""
+    assert hermite_rows(mat) == reference_hermite_rows(mat)
+    cols = [list(col) for col in zip(*mat)]
+    assert hermite_rows(cols) == reference_hermite_rows(cols)
+
+
+def test_hermite_rows_matches_dense_reference_on_relation_matrices(
+        fig1_left, fig1_right):
+    graphs = connected_multigraphs(6) + [fig1_left, fig1_right]
+    for g in graphs:
+        for j in range(g.num_edges + 1):
+            mat = relation_matrix(g, j).dense()
+            assert hermite_rows(mat) == reference_hermite_rows(mat), (g.edges,
+                                                                       j)
 
 
 @settings(max_examples=200, deadline=None)
