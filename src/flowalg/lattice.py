@@ -262,13 +262,14 @@ def theta_product(g: Graph, bound) -> QSeries:
     :func:`coset_system`.  For i > k, b_i vanishes on the chords 1..k: it
     is a flow of the subgraph in which phi_k was computed, with value 0 on
     chord k, so <b_i, phi_k> = 0 (checked).  So the factor of chord k
-    depends only on g_1..g_k.  After choosing g_1..g_i, a state is the residues of
-    <lambda, phi_k> mod w_k for the chords k > i not yet taken; states that
-    agree merge and their series add, and the factor of chord i multiplies
-    each merged series once.  Each psi series is computed once per call for
-    each (translation mod 1, weight): psi sums over all integers n, so it
-    does not change when the translation moves by an integer.  Inner series
-    are dicts keyed by exponent times lcm(w), which are integers.
+    depends only on g_1..g_k.  After choosing g_1..g_i, a state is the
+    residues of <lambda, phi_k> mod w_k for the chords k > i not yet taken;
+    states that agree merge and their series add, and the factor of chord i
+    multiplies each merged series once.  Each psi series is computed once
+    per call for each (translation mod 1, weight): psi sums over all
+    integers n, so it does not change when the translation moves by an
+    integer.  Inner series are dicts keyed by exponent times lcm(w), which
+    are integers.
     """
     bound = Fraction(bound)
     if bound < 0:
