@@ -9,7 +9,7 @@ the monomial evaluation matrices are ranked by :func:`rank_int_rows`, a
 row-by-row echelon reduction in integers.  One integer lattice reduction,
 the row Hermite form of :func:`hermite_rows`, a unimodular row-by-row
 reduction, gives both the integer kernels and the Smith invariant factors
-(alternating row Hermite forms); it takes and returns dense rows.
+(alternating row Hermite forms); they take and return sparse rows.
 
 Minimum-norm points come from one orthogonal projection onto a kernel,
 computed by a fraction-free integer solve of the Gram system mat mat^T; on
@@ -156,8 +156,8 @@ def det_int(mat: list[list[int]]) -> int:
 # -- Smith normal form ----------------------------------------------------
 
 
-def smith_normal_form(mat: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors ``d_1 | d_2 | ...`` of an integer matrix.
+def smith_normal_form(rows) -> list[int]:
+    """Nonzero invariant factors ``d_1 | d_2 | ...`` of sparse integer rows.
 
     Row Hermite forms of the matrix and its transposes, alternately (Kannan
     and Bachem 1979), until the form is diagonal.  Each pass is unimodular,
@@ -167,51 +167,60 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
     pivots are all 1 has a unit minor of full size, and every factor is 1.
     The diagonal becomes a divisibility chain by (gcd, lcm) replacements.
     """
-    h = hermite_rows(mat)
-    while any(sum(1 for x in row if x) > 1 for row in h):
-        if all(next(x for x in row if x) == 1 for row in h):
+    h = hermite_rows(rows)
+    while any(len(row) > 1 for row in h):
+        if all(row[min(row)] == 1 for row in h):
             return [1] * len(h)
-        h = hermite_rows([list(col) for col in zip(*h)])
-    d = [next(x for x in row if x) for row in h]
+        h = hermite_rows(_columns(h).values())
+    d = [row[min(row)] for row in h]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return d
 
 
-def integer_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel ``{x : mat @ x = 0}`` in row Hermite form.
+def _columns(rows) -> dict[int, dict[int, int]]:
+    """The transpose of sparse rows: each column, keyed by row index."""
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(rows):
+        for c, v in dict(row).items():
+            cols.setdefault(c, {})[r] = v
+    return cols
+
+
+def integer_kernel_basis(rows, ncols: int) -> list[dict[int, int]]:
+    """Basis of the integer kernel ``{x : mat @ x = 0}`` of sparse integer
+    rows with columns 0..ncols-1, as sparse rows in row Hermite form.
 
     One :func:`hermite_rows` of ``[mat^T | I]``: its rows span the same
     lattice as the unimodular ``[mat^T | I]``, so those with a zero left
     block are a basis of the kernel, and they come out in Hermite form,
-    which is unique for the lattice.  An empty ``mat`` has no columns.
+    which is unique for the lattice.  Without rows, the basis is I.
     """
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    aug = [[row[c] for row in mat] + [int(c == k) for k in range(nc)]
-           for c in range(nc)]
-    return [row[nr:] for row in hermite_rows(aug) if not any(row[:nr])]
+    nr = len(rows)
+    cols = _columns(rows)
+    aug = [{**cols.get(c, {}), nr + c: 1} for c in range(ncols)]
+    return [{c - nr: v for c, v in row.items()}
+            for row in hermite_rows(aug) if min(row) >= nr]
 
 
-def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of any integer matrix, zero rows dropped:
-    positive pivots, entries above each pivot reduced into [0, pivot).  The
-    rows left have full rank; an empty matrix gives an empty one.
+def hermite_rows(rows) -> list[dict[int, int]]:
+    """Row Hermite normal form of sparse integer rows (as for
+    :func:`rank_int_rows`, and not changed): the nonzero rows, as dicts in
+    ascending pivot order, with positive pivots and the entries above each
+    pivot reduced into [0, pivot).  It depends only on the column order.
 
-    The rows are reduced one by one as sparse dicts (column -> value), each
-    step unimodular.  A row's lowest column is cleared against the pivot row
-    that owns it: by an exact multiple when the pivot divides the entry,
-    else by the 2 x 2 extended-Euclid step that leaves their gcd in the
-    pivot row.  Then each pivot is made positive and, in ascending pivot
-    order, the entries above it are reduced.  The Hermite form of a lattice
-    is unique, so the order of the steps does not change the result.
+    The rows are reduced one by one, each step unimodular.  A row's lowest
+    column is cleared against the pivot row that owns it: by an exact
+    multiple when the pivot divides the entry, else by the 2 x 2
+    extended-Euclid step that leaves their gcd in the pivot row.  Then each
+    pivot is made positive and, in ascending pivot order, the entries above
+    it are reduced.  The Hermite form of a lattice is unique, so the order
+    of the steps does not change the result.
     """
-    rows = list(rows)
-    nc = len(rows[0]) if rows else 0
     pivots: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        row = {c: v for c, v in enumerate(dense) if v}
+    for row in rows:
+        row = dict(row)
         while row:
             c = min(row)
             piv = pivots.get(c)
@@ -237,8 +246,7 @@ def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
             q = pivots[above].get(c, 0) // piv[c]
             if q:
                 _add_multiple(pivots[above], -q, piv)
-    return [[row.get(c, 0) for c in range(nc)]
-            for row in (pivots[c] for c in order)]
+    return [pivots[c] for c in order]
 
 
 def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:

@@ -44,15 +44,6 @@ class RelationMatrix:
     rows: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple[tuple[int, int], ...]
 
-    def dense(self) -> list[list[int]]:
-        out = []
-        for row in self.rows:
-            dense = [0] * len(self.basis)
-            for col, val in row:
-                dense[col] = val
-            out.append(dense)
-        return out
-
     @property
     def num_columns(self) -> int:
         return len(self.basis)
@@ -177,16 +168,15 @@ def rank_sequence(g: Graph) -> tuple[int, ...]:
 def torsion_check(g: Graph, j: int) -> bool:
     """True iff the degree-j quotient is free: every nonzero invariant
     factor of the relation matrix equals 1."""
-    rel = relation_matrix(g, j)
-    return all(f == 1 for f in smith_normal_form(rel.dense()))
+    return all(f == 1 for f in smith_normal_form(relation_matrix(g, j).rows))
 
 
 def integral_circulations(g: Graph, j: int) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel of the degree-j relation matrix, in
-    Hermite-style echelon form; coordinates follow the subset basis."""
+    """Basis of the integer kernel of the degree-j relation matrix, in row
+    Hermite form, as coordinate tuples over the subset basis."""
     rel = relation_matrix(g, j)
-    dense = [row for row in rel.dense() if any(row)] or [[0] * rel.num_columns]
-    return [tuple(v) for v in integer_kernel_basis(dense)]
+    return [tuple(v.get(c, 0) for c in range(rel.num_columns))
+            for v in integer_kernel_basis(rel.rows, rel.num_columns)]
 
 
 def circulation_from_coords(g: Graph, j: int, coords) -> Circulation:
@@ -233,7 +223,7 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
                 raise check_failed(g, "product membership",
                                    f"a product of degrees {i} and {j} is "
                                    f"not a degree-{i + j} circulation")
-            products.append([prod.table.get(mask, 0) for mask in rel.basis])
+            products.append(prod.table)
     factors = smith_normal_form(products)
     if len(factors) != d:
         raise InputError("product subgroup has infinite index; "

@@ -1,17 +1,18 @@
 """Tutte polynomial, its Poincare-polynomial specialization, and forest
 counts.
 
-The deletion-contraction recursion is the production route.  Two
-independent oracles check it on graphs with at most 12 edges: a
-corank-nullity subset sum checks the Tutte polynomial, and a direct count of
-maximal forests checks T(1, 1).  The subset sum is a frontier sweep over the
-edges: the subsets are grouped by the partition they induce on the vertices
-that still have an edge to come, with their counts kept by rank and
-nullity, so the 2^m subsets are never listed one by one.  Each oracle runs
-once per distinct graph per process: a graph whose recursion result an
-oracle has confirmed is recorded by its :func:`_normal_form` key, and a
-later graph with an equal key (equal up to relabeling and orientation) is
-not checked again.  All arithmetic is integer-exact.
+The deletion-contraction recursion is the production route.  Two independent
+oracles check it on every graph up to the capacity ceiling of
+``MAX_SUBSET_EDGES`` edges: a corank-nullity subset sum checks the Tutte
+polynomial, and a direct count of maximal forests checks T(1, 1).  The subset
+sum is a frontier sweep over the edges: the subsets are grouped by the
+partition they induce on the vertices that still have an edge to come, with
+their counts kept by rank and nullity, so the 2^m subsets are never listed
+one by one.  Each oracle runs once per distinct graph per process: a graph
+whose recursion result an oracle has confirmed is recorded by its
+:func:`_normal_form` key, and a later graph with an equal key (equal up to
+relabeling and orientation) is not checked again.  All arithmetic is
+integer-exact.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+from . import errors
 from .errors import check_failed
 from .graph import Graph, _components
 
@@ -204,9 +206,9 @@ def tutte_by_subsets(g: Graph) -> BiPoly:
 
 
 def tutte(g: Graph) -> BiPoly:
-    """Tutte polynomial by deletion-contraction.  On a graph with at most 12
-    edges the result is checked against the subset-sum oracle, once per
-    distinct graph per process (see the module docstring)."""
+    """Tutte polynomial by deletion-contraction, checked against the
+    subset-sum oracle up to ``MAX_SUBSET_EDGES`` edges, once per distinct
+    graph per process (see the module docstring)."""
     key = _normal_form(g)
     result = _tutte_rec(g, key)
     _cross_check(g, key, "subset sum", result, tutte_by_subsets)
@@ -251,9 +253,9 @@ def count_spanning_forests(g: Graph) -> int:
 
 
 def complexity(g: Graph) -> int:
-    """Number of maximal forests, computed as T(1, 1).  On a graph with at
-    most 12 edges it is checked against direct enumeration, once per
-    distinct graph per process (see the module docstring)."""
+    """Number of maximal forests, computed as T(1, 1), checked against
+    direct enumeration up to ``MAX_SUBSET_EDGES`` edges, once per distinct
+    graph per process (see the module docstring)."""
     key = _normal_form(g)
     kappa = sum(_tutte_rec(g, key).coeffs.values())
     _cross_check(g, key, "forest count", kappa, count_spanning_forests)
@@ -262,9 +264,9 @@ def complexity(g: Graph) -> int:
 
 def _cross_check(g: Graph, key: tuple, check: str, value, oracle) -> None:
     """Compare the recursion's ``value`` for g (``key`` is its normal form)
-    with ``oracle(g)`` on a graph with at most 12 edges, unless ``check``
+    with ``oracle(g)`` up to ``MAX_SUBSET_EDGES`` edges, unless ``check``
     has already confirmed that key; record the key once the two agree."""
-    if g.num_edges > 12 or (check, key) in _verified:
+    if g.num_edges > errors.MAX_SUBSET_EDGES or (check, key) in _verified:
         return
     expected = oracle(g)
     if expected != value:

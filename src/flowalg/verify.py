@@ -32,7 +32,7 @@ from math import comb
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           verify_inequalities)
-from .errors import CheckError, FlowAlgError, InputError
+from .errors import CheckError, InputError
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
@@ -191,7 +191,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
         rep.add("theta-product-vs-enumerate", tp == te,
                 f"product={tp}, enumerate={te}" if tp != te else "")
         rep.add("theta-even-coefficients", even)
-    except FlowAlgError as exc:
+    except CheckError as exc:
         rep.add("theta-product-vs-enumerate", False, str(exc))
 
     for check in verify_inequalities(g).checks:

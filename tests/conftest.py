@@ -40,6 +40,29 @@ def rref(mat):
     return m, pivots
 
 
+def sparse(mat):
+    """The sparse rows (dicts column -> value, zeros dropped) of a dense
+    integer matrix, the row format of the ``flowalg.linalg`` eliminations."""
+    return [{c: v for c, v in enumerate(row) if v} for row in mat]
+
+
+def to_dense(rows, ncols):
+    """Dense lists of ``ncols`` entries from sparse rows (dicts or
+    sequences of (column, value) pairs)."""
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for c, v in dict(row).items():
+            dense[c] = v
+        out.append(dense)
+    return out
+
+
+def dense(rel):
+    """The dense matrix of a ``RelationMatrix``, one list per row."""
+    return to_dense(rel.rows, rel.num_columns)
+
+
 def reference_hermite_rows(rows):
     """Row Hermite normal form, zero rows dropped, by dense column-by-column
     gcd reduction: positive pivots, entries above each pivot reduced into

@@ -188,6 +188,16 @@ def test_coset_ceiling_exit_code(capsys, monkeypatch, graph_dir):
     assert doc["kind"] == "capacity"
 
 
+def test_verify_coset_ceiling_exit_code(capsys, monkeypatch, graph_dir):
+    """A refused theta product is a capacity error, not a failed check."""
+    monkeypatch.setattr(errors, "MAX_COSET_REPRESENTATIVES", 100)
+    code = main(["verify", str(graph_dir / "fig1_right.g")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["kind"] == "capacity"
+    assert "at most 100 are supported" in doc["error"]
+
+
 def test_corpus_ceiling_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(errors, "MAX_CORPUS_EDGES", 2)
     code, doc = run_cli(capsys, "corpus", "--max-edges", "3")

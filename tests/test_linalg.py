@@ -14,7 +14,7 @@ from flowalg.linalg import (det_int, enumerate_by_norm, hermite_rows,
                             integer_kernel_basis, min_norm_affine,
                             rank_int_rows, smith_normal_form)
 
-from conftest import reference_hermite_rows, rref
+from conftest import dense, reference_hermite_rows, rref, sparse, to_dense
 
 F = Fraction
 
@@ -25,20 +25,20 @@ def triangle_incidence():
 
 
 def test_smith_normal_form_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
-    assert smith_normal_form([]) == []
+    assert smith_normal_form(sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(sparse([[1, 0], [0, 1]])) == [1, 1]
+    assert smith_normal_form(sparse([[0, 0], [0, 0]])) == []
+    assert smith_normal_form(sparse([])) == []
     # Hermite forms that are not diagonal and have a pivot above 1 take a
     # second pass, on the transpose; the pivots of the first one are not
     # the factors of [[2, 1], [0, 2]]
-    assert smith_normal_form([[2, 2], [0, 4]]) == [2, 4]
-    assert smith_normal_form([[2, 1], [0, 2]]) == [1, 4]
+    assert smith_normal_form(sparse([[2, 2], [0, 4]])) == [2, 4]
+    assert smith_normal_form(sparse([[2, 1], [0, 2]])) == [1, 4]
     # unit pivots: every factor is 1 without a second pass
-    assert smith_normal_form([[1, 1]]) == [1]
+    assert smith_normal_form(sparse([[1, 1]])) == [1]
     # six-digit entries, repeated and zero rows: the entries must not grow
     # without bound on the way (factors checked against the minors)
-    assert smith_normal_form([
+    assert smith_normal_form(sparse([
         [0, -863009, 0, -644126, 128705, 591982],
         [0, 863009, 0, 644126, -128705, -591982],
         [0, 863009, 0, 644126, -128705, -591982],
@@ -46,7 +46,7 @@ def test_smith_normal_form_examples():
         [-917923, -202600, 0, 0, 0, 290138],
         [0, 154009, -828572, 0, -380182, 940006],
         [0, 0, 0, 0, 0, 0],
-        [-904052, 0, 405955, -132756, 856105, 0]]) == [1, 1, 1, 1]
+        [-904052, 0, 405955, -132756, 856105, 0]])) == [1, 1, 1, 1]
 
 
 @st.composite
@@ -90,11 +90,11 @@ def determinantal_factors(mat):
 @example([[2, 2], [0, 4]])
 @example([[0, 0, 0], [6, 4, 0], [6, 4, 0]])
 def test_smith_matches_determinantal_divisors(mat):
-    assert smith_normal_form(mat) == determinantal_factors(mat)
+    assert smith_normal_form(sparse(mat)) == determinantal_factors(mat)
 
 
 def test_smith_factors_divisibility_chain():
-    factors = smith_normal_form([[4, 2, 8], [2, 8, 6], [10, 2, 0]])
+    factors = smith_normal_form(sparse([[4, 2, 8], [2, 8, 6], [10, 2, 0]]))
     assert factors == [2, 2, 134]
     for i in range(len(factors) - 1):
         assert factors[i + 1] % factors[i] == 0
@@ -108,27 +108,30 @@ def test_snf_factor_count_is_rank():
     ]
     for m in mats:
         rows = [{j: v for j, v in enumerate(row) if v} for row in m]
-        assert len(smith_normal_form(m)) == rank_int_rows(rows)
+        assert len(smith_normal_form(rows)) == rank_int_rows(rows)
 
 
 def test_integer_kernel_basis():
-    basis = integer_kernel_basis([[1, 1, 1], [0, 0, 0]])
+    basis = to_dense(integer_kernel_basis(sparse([[1, 1, 1], [0, 0, 0]]), 3),
+                     3)
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
     # Hermite form is deterministic
-    again = integer_kernel_basis([[1, 1, 1], [0, 0, 0]])
+    again = to_dense(integer_kernel_basis(sparse([[1, 1, 1], [0, 0, 0]]), 3),
+                     3)
     assert basis == again
 
 
 def test_hermite_rows_normalizes():
-    rows = hermite_rows([[2, 4], [0, 6]])
+    rows = to_dense(hermite_rows(sparse([[2, 4], [0, 6]])), 2)
     assert rows == [[2, 4], [0, 6]]
-    rows = hermite_rows([[0, 3], [2, 1]])
+    rows = to_dense(hermite_rows(sparse([[0, 3], [2, 1]])), 2)
     assert rows[0][0] > 0
     assert 0 <= rows[0][1] < rows[1][1] or rows[1][1] == 0 or rows[0][1] == 0
     # any integer matrix: rank-deficient rows reduce to zero and are dropped
-    assert hermite_rows([[2, 4], [1, 2], [0, 0]]) == [[1, 2]]
+    assert to_dense(hermite_rows(sparse([[2, 4], [1, 2], [0, 0]])),
+                    2) == [[1, 2]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,9 +143,35 @@ def test_hermite_rows_normalizes():
 def test_hermite_rows_matches_dense_reference(mat):
     """Zero rows, repeated rows and pivots that do not divide the entries
     below them, on the matrix and on its transpose."""
-    assert hermite_rows(mat) == reference_hermite_rows(mat)
+    ncols = len(mat[0]) if mat else 0
+    assert (to_dense(hermite_rows(sparse(mat)), ncols)
+            == reference_hermite_rows(mat))
     cols = [list(col) for col in zip(*mat)]
-    assert hermite_rows(cols) == reference_hermite_rows(cols)
+    assert (to_dense(hermite_rows(sparse(cols)), len(mat))
+            == reference_hermite_rows(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_int_matrices(), st.data())
+def test_increasing_column_relabel(mat, data):
+    """Columns may be any integers, such as subset masks: a strictly
+    increasing relabelling relabels the Hermite form the same way and
+    keeps the Smith factors."""
+    ncols = len(mat[0]) if mat else 0
+    labels = sorted(data.draw(st.sets(st.integers(-50, 2**20),
+                                      min_size=ncols, max_size=ncols)))
+    rows = sparse(mat)
+    moved = [{labels[c]: v for c, v in row.items()} for row in rows]
+    assert hermite_rows(moved) == [{labels[c]: v for c, v in row.items()}
+                                   for row in hermite_rows(rows)]
+    assert smith_normal_form(moved) == smith_normal_form(rows)
+
+
+def test_integer_kernel_of_no_rows_is_the_identity():
+    for n in range(4):
+        identity = [[int(r == c) for c in range(n)] for r in range(n)]
+        assert to_dense(integer_kernel_basis([], n), n) == identity
+        assert to_dense(integer_kernel_basis([{}, ()], n), n) == identity
 
 
 def test_hermite_rows_matches_dense_reference_on_relation_matrices(
@@ -150,9 +179,9 @@ def test_hermite_rows_matches_dense_reference_on_relation_matrices(
     graphs = connected_multigraphs(6) + [fig1_left, fig1_right]
     for g in graphs:
         for j in range(g.num_edges + 1):
-            mat = relation_matrix(g, j).dense()
-            assert hermite_rows(mat) == reference_hermite_rows(mat), (g.edges,
-                                                                       j)
+            rel = relation_matrix(g, j)
+            assert (to_dense(hermite_rows(rel.rows), rel.num_columns)
+                    == reference_hermite_rows(dense(rel))), (g.edges, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,9 +194,9 @@ def test_integer_kernel_basis_property(mat):
     """The basis annihilates the matrix, has ncols - rank rows, is in
     Hermite form and spans a saturated lattice (every Smith factor 1)."""
     ncols = len(mat[0])
-    basis = integer_kernel_basis(mat)
+    basis = integer_kernel_basis(sparse(mat), ncols)
     assert all(sum(a * b for a, b in zip(row, v)) == 0
-               for row in mat for v in basis)
+               for row in mat for v in to_dense(basis, ncols))
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
     assert len(basis) == ncols - rank_int_rows(rows)
     assert hermite_rows(basis) == basis
@@ -202,9 +231,9 @@ def test_min_norm_orthogonality_property(case):
     the value is 0 or some vector of ker(mat) is nonzero at i."""
     mat, i, value, ncols = case
     unit = [int(c == i) for c in range(ncols)]
-    directions = integer_kernel_basis(mat + [unit])
-    # a zero row stands for an empty matrix, whose kernel is everything
-    kernel = integer_kernel_basis(mat or [[0] * ncols])
+    directions = to_dense(integer_kernel_basis(sparse(mat + [unit]), ncols),
+                          ncols)
+    kernel = to_dense(integer_kernel_basis(sparse(mat), ncols), ncols)
     feasible = value == 0 or any(v[i] for v in kernel)
     if not feasible:
         with pytest.raises(InfeasibleError):

@@ -13,7 +13,7 @@ from flowalg.relations import (RelationMatrix, circulation_from_coords,
                                integral_circulations, product_torsion,
                                rank_sequence, relation_matrix, torsion_check)
 
-from conftest import rref
+from conftest import rref, sparse
 
 
 def contraction_reference(g, j):
@@ -137,6 +137,17 @@ def test_integral_circulations_forest_and_k4():
     assert det_int(gram) == 16
 
 
+def test_integral_circulations_of_an_all_zero_matrix():
+    """Two loops: every relation row is zero, so the lattice of each degree
+    is spanned by the C(2, j) unit vectors."""
+    g = bouquet_graph(2)
+    for j in range(3):
+        n = comb(2, j)
+        assert all(not row for row in relation_matrix(g, j).rows)
+        assert integral_circulations(g, j) == [
+            tuple(int(r == c) for c in range(n)) for r in range(n)]
+
+
 def test_integral_circulations_annihilate_relations():
     g = complete_graph(4)
     for j in (1, 2, 3):
@@ -193,7 +204,8 @@ def coordinate_reference(g, i, j):
     assert pivots == list(range(d))  # every product in the basis span
     coeff = [red[r][d:] for r in range(d)]
     assert all(x.denominator == 1 for row in coeff for x in row)
-    factors = smith_normal_form([[int(x) for x in row] for row in coeff])
+    factors = smith_normal_form(sparse([[int(x) for x in row]
+                                        for row in coeff]))
     assert len(factors) == d  # finite index
     return tuple(f for f in factors if f != 1)
 

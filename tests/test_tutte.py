@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import flowalg.errors as errors
 from flowalg.errors import CheckError
 from flowalg.graph import (Graph, _components, bouquet_graph, build,
                            complete_graph, cycle_graph, dipole_graph,
@@ -153,6 +154,22 @@ def test_oracles_run_once_per_distinct_graph(monkeypatch):
     tutte(g)
     complexity(g)
     assert calls == {"subsets": 2, "forests": 2}
+
+
+def test_oracles_check_graphs_up_to_the_capacity_ceiling(monkeypatch):
+    # K5 plus edges parallel to 1-3, 2-4 and 3-5: 13 edges
+    g = build(complete_graph(5).edges + ((11, 1, 3), (12, 2, 4), (13, 3, 5)))
+    key = tutte_mod._normal_form(g)
+    tutte_mod.clear_cache()
+    tutte(g)
+    complexity(g)
+    assert tutte_mod._verified == {("subset sum", key), ("forest count", key)}
+    # the ceiling is read when the check runs
+    monkeypatch.setattr(errors, "MAX_SUBSET_EDGES", 12)
+    tutte_mod.clear_cache()
+    tutte(g)
+    complexity(g)
+    assert not tutte_mod._verified
 
 
 def test_a_disagreement_is_never_recorded(monkeypatch):

@@ -13,9 +13,15 @@ once in each tree, with S the ``run_seconds`` of ``BENCHMARK.json``, the
 parent first in odd pairs and the change first in even ones, so a slow
 drift of the machine does not favour one side.  The output holds, per
 workload and end-to-end metric, both sides' values, medians and
-quartiles, the median ratio (change / parent) and the number of pairs the
-change won, by the metric's ``better`` direction; and the machine: CPU
-count and Python version.
+quartiles, the median ratio (change / parent), the number of pairs the
+change won, by the metric's ``better`` direction, and a verdict; and the
+machine: CPU count and Python version.
+
+The verdict says whether the pairs can tell the two sides apart.  It is
+"unresolved" when the change's median lies inside the parent's
+interquartile range (a move within the parent's own noise) or when either
+side's spread, (q3 - q1) / median, exceeds the metric's ``bound``; else it
+is "better" or "worse" by the metric's ``better`` direction.
 
 Run from a checkout; the change is its ``HEAD``:
 
@@ -85,9 +91,24 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def spread(s: dict) -> float | None:
+    """The interquartile range relative to the median."""
+    return (s["q3"] - s["q1"]) / s["median"] if s["median"] else None
+
+
+def verdict(parent: dict, change: dict, spec: dict) -> str:
+    """"unresolved", "better" or "worse" (see the module docstring)."""
+    noisy = any(sp is None or sp > spec["bound"]
+                for sp in (spread(parent), spread(change)))
+    if noisy or parent["q1"] <= change["median"] <= parent["q3"]:
+        return "unresolved"
+    higher = change["median"] > parent["median"]
+    return "better" if higher == (spec["better"] == "higher") else "worse"
+
+
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' values and summaries, the median ratio and
-    the number of pairs the change won."""
+    """Per metric: both sides' values and summaries, the median ratio,
+    the number of pairs the change won and the verdict."""
     out = {}
     for spec in metrics:
         name = spec["name"]
@@ -99,10 +120,13 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = summary(before), summary(after)
         out[name] = {
             "unit": spec["unit"], "better": spec["better"],
-            "parent": {**parent, "values": before},
-            "change": {**change, "values": after},
+            "parent": {**parent, "spread": spread(parent), "values": before},
+            "change": {**change, "spread": spread(change), "values": after},
             "median_ratio": (change["median"] / parent["median"]
                              if parent["median"] else None),
+            "within_parent_iqr": (parent["q1"] <= change["median"]
+                                  <= parent["q3"]),
+            "verdict": verdict(parent, change, spec),
             "pairs_won": won, "pairs": len(pairs)}
     return out
 
@@ -147,11 +171,16 @@ def main() -> int:
                           + ", ".join(f"{k}={v:.4g}" for k, v in m.items()),
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
+            metrics = compare(pairs, spec["end_to_end"])
             record["workloads"][workload] = {
                 "runs": pairs,
                 "all_correct": all(p[s]["correct"] for p in pairs
                                    for s in ("parent", "change")),
-                "metrics": compare(pairs, spec["end_to_end"])}
+                "metrics": metrics}
+            for name, m in metrics.items():
+                print(f"{workload} {name}: {m['parent']['median']:.4g} -> "
+                      f"{m['change']['median']:.4g}, {m['verdict']}",
+                      file=sys.stderr, flush=True)
     path = ROOT / f"BENCH_{a.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
