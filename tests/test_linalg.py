@@ -107,19 +107,18 @@ def test_snf_factor_count_is_rank():
         [[6, 0], [0, 10], [0, 0]],
     ]
     for m in mats:
-        rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+        rows = sparse(m)
         assert len(smith_normal_form(rows)) == rank_int_rows(rows)
 
 
 def test_integer_kernel_basis():
-    basis = to_dense(integer_kernel_basis(sparse([[1, 1, 1], [0, 0, 0]]), 3),
-                     3)
+    mat = sparse([[1, 1, 1], [0, 0, 0]])
+    basis = to_dense(integer_kernel_basis(mat, 3), 3)
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
     # Hermite form is deterministic
-    again = to_dense(integer_kernel_basis(sparse([[1, 1, 1], [0, 0, 0]]), 3),
-                     3)
+    again = to_dense(integer_kernel_basis(mat, 3), 3)
     assert basis == again
 
 
@@ -194,10 +193,10 @@ def test_integer_kernel_basis_property(mat):
     """The basis annihilates the matrix, has ncols - rank rows, is in
     Hermite form and spans a saturated lattice (every Smith factor 1)."""
     ncols = len(mat[0])
-    basis = integer_kernel_basis(sparse(mat), ncols)
+    rows = sparse(mat)
+    basis = integer_kernel_basis(rows, ncols)
     assert all(sum(a * b for a, b in zip(row, v)) == 0
                for row in mat for v in to_dense(basis, ncols))
-    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
     assert len(basis) == ncols - rank_int_rows(rows)
     assert hermite_rows(basis) == basis
     assert all(f == 1 for f in smith_normal_form(basis))
