@@ -153,18 +153,72 @@ class Graph:
     def is_cut_edge(self, eid: int) -> bool:
         """True iff deleting the edge increases the component count.
         Loops are never cut-edges."""
-        _, tail, head = self.edge(eid)
-        if tail == head:
-            return False
-        k_before = self.num_components
-        k_after = _components(
-            self.vertices,
-            [(t, h) for e, t, h in self.edges if e != eid])[0]
-        return k_after > k_before
+        self.edge(eid)
+        return eid in self.cut_edges
+
+    @property
+    def cut_edges(self) -> frozenset[int]:
+        """The bridges: the edges whose deletion increases the component
+        count, read from :attr:`blocks`.  Loops are never cut-edges."""
+        return self.blocks[0]
 
     @cached_property
-    def cut_edges(self) -> frozenset[int]:
-        return frozenset(e[0] for e in self.edges if self.is_cut_edge(e[0]))
+    def blocks(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+        """``(bridges, blocks)`` from one depth-first search (Hopcroft and
+        Tarjan, "Efficient algorithms for graph manipulation", CACM 1973):
+        the cut-edges, and the edge ids of every 2-connected block of two
+        or more edges, each block in edge-list order.  Loops are set aside,
+        so bridges and blocks partition the non-loop edges.
+
+        The search skips the edge it arrived by, not the vertex it came
+        from, so an edge parallel to a tree edge is a back edge and a
+        parallel pair is a block.  Each tree edge and the back edges found
+        below it wait on a stack; when no back edge from below the tree edge
+        reaches above its upper end, they are popped as one block, and a
+        block of that single edge is a bridge."""
+        adjacency = self.adjacency
+        order: dict[int, int] = {}   # vertex -> discovery index
+        low: dict[int, int] = {}     # least discovery index reached below
+        waiting: list[int] = []      # edge ids not yet assigned a block
+        bridges: list[int] = []
+        found: list[list[int]] = []
+        for root in self.vertices:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            # (vertex, edge id it was reached by, its neighbours left to
+            # scan, stack height before that edge)
+            path = [(root, None, iter(adjacency[root]), 0)]
+            while path:
+                v, via, todo, height = path[-1]
+                for eid, w in todo:
+                    if eid == via or w == v:
+                        continue
+                    if w not in order:
+                        order[w] = low[w] = len(order)
+                        path.append((w, eid, iter(adjacency[w]),
+                                     len(waiting)))
+                        waiting.append(eid)
+                        break
+                    if order[w] < order[v]:
+                        waiting.append(eid)
+                        low[v] = min(low[v], order[w])
+                else:
+                    path.pop()
+                    if not path:
+                        continue
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= order[u]:
+                        block = waiting[height:]
+                        del waiting[height:]
+                        if len(block) == 1:
+                            bridges.append(via)
+                        else:
+                            found.append(block)
+        pos = self._pos
+        return frozenset(bridges), tuple(
+            tuple(sorted(block, key=pos.__getitem__)) for block in found)
 
     def maximal_forest(self) -> frozenset[int]:
         """Deterministic spanning forest: greedy over ascending edge id,

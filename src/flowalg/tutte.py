@@ -1,7 +1,13 @@
 """Tutte polynomial, its Poincare-polynomial specialization, and forest
 counts.
 
-The deletion-contraction recursion is the production route.  Two independent
+The deletion-contraction recursion is the production route.  It uses that T
+is multiplicative over blocks: a bridge gives x, a loop y, and a graph that
+is not one 2-connected block is the product of those factors and the T of
+each block of two or more edges (the bridges and blocks come from one
+depth-first search, :attr:`Graph.blocks`).  Only a single block is split,
+on its lowest edge id.  The memo holds the single blocks and the block
+products, each under its :func:`_normal_form` key.  Two independent
 oracles check it on every graph up to the capacity ceiling of
 ``MAX_SUBSET_EDGES`` edges: a corank-nullity subset sum checks the Tutte
 polynomial, and a direct count of maximal forests checks T(1, 1).  The subset
@@ -100,25 +106,33 @@ def _normal_form(g: Graph) -> tuple:
 
 def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
     # ``key`` is ``_normal_form(g)``.  Equal keys mean isomorphic graphs, so
-    # a hit is sound before the pivot search; only graphs with a pivot are
-    # ever stored.
+    # a hit is sound before the block search.  T is multiplicative over
+    # blocks: a graph that is not one 2-connected block is x^bridges
+    # y^loops times the T of each block of two or more edges, and a single
+    # block is split by deletion-contraction on its lowest edge id.  Block
+    # products and single blocks are stored; a graph of only bridges and
+    # loops is not.
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    pivot = None
-    for eid, tail, head in sorted(g.edges):
-        if tail != head and not g.is_cut_edge(eid):
-            pivot = eid
-            break
-    if pivot is None:
-        # only loops and bridges remain
-        loops = sum(1 for _, t, h in g.edges if t == h)
-        bridges = g.num_edges - loops
-        return BiPoly({(bridges, loops): 1})
-    deleted = g.delete([pivot])
-    contracted = g.contract([pivot]).graph
-    result = (_tutte_rec(deleted, _normal_form(deleted))
-              + _tutte_rec(contracted, _normal_form(contracted)))
+    bridges, blocks = g.blocks
+    loops = g.num_edges - len(bridges) - sum(map(len, blocks))
+    if len(blocks) != 1 or bridges or loops:
+        result = BiPoly({(len(bridges), loops): 1})
+        if not blocks:
+            return result
+        by_id = g._by_id
+        for block in blocks:
+            edges = tuple(by_id[eid] for eid in block)
+            b = Graph._derived(
+                tuple(sorted({v for _, t, h in edges for v in (t, h)})), edges)
+            result = result * _tutte_rec(b, _normal_form(b))
+    else:
+        pivot = min(g.edge_ids)
+        deleted = g.delete([pivot])
+        contracted = g.contract([pivot]).graph
+        result = (_tutte_rec(deleted, _normal_form(deleted))
+                  + _tutte_rec(contracted, _normal_form(contracted)))
     _memo[key] = result
     return result
 

@@ -108,6 +108,13 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
     theta bound raises ``InputError`` before any check runs."""
     if theta_bound < 0:
         raise InputError(f"theta bound {theta_bound} is negative")
+    # the theta product comes first, so that a coset system over its
+    # ceiling is refused (CapacityError) before any other work is done
+    try:
+        tp = theta_product(g, theta_bound)
+        tp_error = None
+    except CheckError as exc:
+        tp, tp_error = None, exc
     rep = CheckReport()
     dp = trimmed(poincare(g))
 
@@ -185,7 +192,8 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
     rep.add("characteristic-flows", ok, detail)
 
     try:
-        tp = theta_product(g, theta_bound)
+        if tp_error is not None:
+            raise tp_error
         te = theta_enumerate(g, theta_bound)
         even = all(c % 2 == 0 for e, c in te.terms if e > 0)
         rep.add("theta-product-vs-enumerate", tp == te,

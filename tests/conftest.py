@@ -3,10 +3,11 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
-from flowalg.graph import Graph, build
+from flowalg.graph import Graph, _components, build
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 
@@ -94,6 +95,32 @@ def reference_hermite_rows(rows):
         if r == len(m):
             break
     return [row for row in m if any(row)]
+
+
+def reference_is_cut_edge(g, eid):
+    """Whether deleting the edge increases the component count, by counting
+    the components with and without it.  A reference for the bridges of
+    ``flowalg.graph.Graph.blocks``, which come from one depth-first search;
+    loops are never cut-edges."""
+    _, tail, head = g.edge(eid)
+    if tail == head:
+        return False
+    k_after = _components(
+        g.vertices, [(t, h) for e, t, h in g.edges if e != eid])[0]
+    return k_after > g.num_components
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Up to 8 edges on up to 6 vertices, with loops, parallel edges,
+    isolated vertices and several components, in any edge order (so a
+    vertex's last edge may come first and be forgotten early)."""
+    vertices = list(range(1, draw(st.integers(1, 6)) + 1))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)), max_size=8))
+    edges = draw(st.permutations([(k, t, h)
+                                  for k, (t, h) in enumerate(ends, 1)]))
+    return build(edges, isolated=vertices)
 
 
 def reference_key(g):

@@ -8,6 +8,7 @@ import pytest
 
 import flowalg.cli as cli
 import flowalg.errors as errors
+import flowalg.verify as verify
 from flowalg.cli import main, parse_graph
 from flowalg.errors import InputError
 
@@ -196,6 +197,19 @@ def test_verify_coset_ceiling_exit_code(capsys, monkeypatch, graph_dir):
     assert code == 3
     assert doc["kind"] == "capacity"
     assert "at most 100 are supported" in doc["error"]
+
+
+def test_verify_refuses_the_coset_system_before_other_checks(
+        capsys, monkeypatch, graph_dir):
+    def refuse(g):
+        raise AssertionError("rank_sequence ran before the refusal")
+
+    monkeypatch.setattr(errors, "MAX_COSET_REPRESENTATIVES", 100)
+    monkeypatch.setattr(verify, "rank_sequence", refuse)
+    code = main(["verify", str(graph_dir / "fig1_right.g")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["kind"] == "capacity"
 
 
 def test_corpus_ceiling_exit_code(capsys, monkeypatch):

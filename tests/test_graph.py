@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
 
 from flowalg.errors import InputError
-from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
-                           cycle_graph, dipole_graph, disjoint_union,
-                           one_point_union, path_graph)
+from flowalg.graph import (Graph, _components, bouquet_graph, build,
+                           complete_graph, cycle_graph, dipole_graph,
+                           disjoint_union, one_point_union, path_graph)
+
+from conftest import reference_is_cut_edge, small_multigraphs
 
 
 def test_validation_rejects_bad_edges():
@@ -73,6 +76,34 @@ def test_cut_edges():
     assert path.is_cut_edge(1)
     assert not cycle_graph(4).is_cut_edge(2)
     assert not bouquet_graph(1).is_cut_edge(1)
+    with pytest.raises(InputError):
+        path.is_cut_edge(99)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+@example(dipole_graph(2))
+@example(one_point_union(cycle_graph(3), 1, dipole_graph(2), 1))
+@example(build([(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 3, 4), (5, 4, 5),
+                (6, 5, 6), (7, 6, 4), (8, 6, 6)], isolated=[7]))
+def test_blocks_and_bridges(g):
+    bridges, blocks = g.blocks
+    assert g.cut_edges == bridges == {
+        eid for eid in g.edge_ids if reference_is_cut_edge(g, eid)}
+    # bridges and blocks partition the non-loop edges
+    assert sorted([*bridges, *(eid for b in blocks for eid in b)]) == sorted(
+        eid for eid, t, h in g.edges if t != h)
+    ends = [{v for eid in b for v in g.edge(eid)[1:]} for b in blocks]
+    for block, verts in zip(blocks, ends):
+        assert len(block) >= 2
+        # no cut vertex: the block stays connected without any one vertex
+        for v in verts:
+            rest = [(t, h) for _, t, h in map(g.edge, block) if v not in (t, h)]
+            assert _components(verts - {v}, rest)[0] == 1
+    # maximal: two blocks share at most one vertex
+    for i, a in enumerate(ends):
+        for b in ends[i + 1:]:
+            assert len(a & b) <= 1
 
 
 def test_maximal_forest():

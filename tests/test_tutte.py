@@ -2,15 +2,17 @@ import importlib
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import flowalg.errors as errors
 from flowalg.errors import CheckError
 from flowalg.graph import (Graph, _components, bouquet_graph, build,
                            complete_graph, cycle_graph, dipole_graph,
-                           disjoint_union, path_graph)
+                           disjoint_union, one_point_union, path_graph)
 from flowalg.tutte import (BiPoly, complexity, count_spanning_forests,
                            poincare, tutte, tutte_by_subsets)
+
+from conftest import small_multigraphs
 
 # the package re-exports the function ``tutte`` under the module's name
 tutte_mod = importlib.import_module("flowalg.tutte")
@@ -101,19 +103,6 @@ def tutte_by_definition(g):
     return BiPoly(out)
 
 
-@st.composite
-def small_multigraphs(draw):
-    """Up to 8 edges on up to 6 vertices, with loops, parallel edges,
-    isolated vertices and several components, in any edge order (so a
-    vertex's last edge may come first and be forgotten early)."""
-    vertices = list(range(1, draw(st.integers(1, 6)) + 1))
-    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
-                                   st.sampled_from(vertices)), max_size=8))
-    edges = draw(st.permutations([(k, t, h)
-                                  for k, (t, h) in enumerate(ends, 1)]))
-    return build(edges, isolated=vertices)
-
-
 @settings(max_examples=300, deadline=None)
 @given(small_multigraphs())
 @example(Graph((), ()))
@@ -124,6 +113,31 @@ def small_multigraphs(draw):
                 (6, 2, 2)], isolated=[6]))
 def test_subset_oracle_matches_definition(g):
     assert tutte_by_subsets(g) == tutte_by_definition(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+# two triangles glued at a vertex
+@example(one_point_union(cycle_graph(3), 1, cycle_graph(3), 1))
+# a digon with a pendant bridge and a loop
+@example(build([(1, 1, 2), (2, 2, 1), (3, 2, 3), (4, 3, 3)]))
+# two cycles joined by a bridge
+@example(build([(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 3, 4), (5, 4, 5),
+                (6, 5, 6), (7, 6, 4)]))
+# a disjoint union with an isolated vertex
+@example(build([(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 5, 6), (5, 6, 5)],
+               isolated=[4]))
+def test_block_recursion_matches_definition(g):
+    tutte_mod.clear_cache()
+    assert tutte(g) == tutte_by_definition(g)
+
+
+def test_block_recursion_on_twenty_edges():
+    # C10 plus the ten chords i -> i + 3: 2-connected, 20 edges
+    g = build([(i, i, i % 10 + 1) for i in range(1, 11)]
+              + [(10 + i, i, (i + 2) % 10 + 1) for i in range(1, 11)])
+    tutte_mod.clear_cache()
+    assert tutte(g) == tutte_by_subsets(g)
 
 
 def test_oracles_run_once_per_distinct_graph(monkeypatch):

@@ -17,6 +17,16 @@ quartiles, the median ratio (change / parent), the number of pairs the
 change won, by the metric's ``better`` direction, and a verdict; and the
 machine: CPU count and Python version.
 
+Before the pairs, each workload runs once traced in the change's tree,
+
+    python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 1
+
+which fails when an item fails, when a traced output differs from its
+untraced replay, or when a layer that ``perfbench/tracing.py`` requires
+made no calls.  A traced run that exits non-zero stops the script with
+its standard error; each run's ``correct`` and ``problems`` are recorded
+under ``traced`` in the output.
+
 The verdict says whether the pairs can tell the two sides apart.  It is
 "unresolved" when the change's median lies inside the parent's
 interquartile range (a move within the parent's own noise) or when either
@@ -83,6 +93,23 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
             "attempted": result["attempted"], "failed": result["failed"],
             "run_s": round(time.perf_counter() - started, 2),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def traced_run(tree: pathlib.Path, workload: str, seconds: float) -> dict:
+    """One traced run (seed 0) in ``tree``: its verdict and problems, read
+    from the result file it writes.  A run that exits non-zero stops the
+    script with its standard error."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", str(seconds), "--trace", "1"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"traced {workload} run in {tree} exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+    rec = json.loads((tree / "perfbench" / "results"
+                      / f"{workload}-seed0-trace1.json").read_text())
+    return {"seed": 0, "correct": rec["result"]["correct"],
+            "problems": rec["problems"]}
 
 
 def summary(values: list[float]) -> dict:
@@ -152,12 +179,18 @@ def main() -> int:
                     "arch": platform.machine()},
         "command": "perfbench/run.py --trace 0",
         "seconds": spec["run_seconds"],
+        "traced": {},
         "workloads": {}}
+    workloads = [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: pathlib.Path(tmp) / side for side in revs}
         for side, rev in revs.items():
             extract(rev, trees[side])
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in workloads:
+            record["traced"][workload] = traced_run(
+                trees["change"], workload, spec["run_seconds"])
+            print(f"{workload} traced: correct", file=sys.stderr, flush=True)
+        for workload in workloads:
             pairs = []
             for seed in range(1, a.pairs + 1):
                 order = (("parent", "change") if seed % 2
