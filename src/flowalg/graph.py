@@ -156,19 +156,21 @@ class Graph:
         self.edge(eid)
         return eid in self.cut_edges
 
-    @property
+    @cached_property
     def cut_edges(self) -> frozenset[int]:
         """The bridges: the edges whose deletion increases the component
         count, read from :attr:`blocks`.  Loops are never cut-edges."""
-        return self.blocks[0]
+        return frozenset(self.blocks[0])
 
     @cached_property
-    def blocks(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+    def blocks(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``(bridges, blocks)`` from one depth-first search (Hopcroft and
         Tarjan, "Efficient algorithms for graph manipulation", CACM 1973):
-        the cut-edges, and the edge ids of every 2-connected block of two
-        or more edges, each block in edge-list order.  Loops are set aside,
-        so bridges and blocks partition the non-loop edges.
+        the edge ids of the cut-edges, and of every 2-connected block of
+        two or more edges, all in ascending order.  Loops are set aside, so
+        bridges and blocks partition the non-loop edges.  Plain tuples keep
+        the cached result small on the many graphs that only the Tutte
+        recursion searches.
 
         The search skips the edge it arrived by, not the vertex it came
         from, so an edge parallel to a tree edge is a back edge and a
@@ -176,7 +178,14 @@ class Graph:
         below it wait on a stack; when no back edge from below the tree edge
         reaches above its upper end, they are popped as one block, and a
         block of that single edge is a bridge."""
-        adjacency = self.adjacency
+        # built here, not read from the cached ``adjacency``, so that the
+        # many graphs searched once keep only the result
+        adjacency: dict[int, list[tuple[int, int]]] = {
+            v: [] for v in self.vertices}
+        for eid, tail, head in self.edges:
+            if tail != head:
+                adjacency[tail].append((eid, head))
+                adjacency[head].append((eid, tail))
         order: dict[int, int] = {}   # vertex -> discovery index
         low: dict[int, int] = {}     # least discovery index reached below
         waiting: list[int] = []      # edge ids not yet assigned a block
@@ -192,7 +201,7 @@ class Graph:
             while path:
                 v, via, todo, height = path[-1]
                 for eid, w in todo:
-                    if eid == via or w == v:
+                    if eid == via:
                         continue
                     if w not in order:
                         order[w] = low[w] = len(order)
@@ -216,9 +225,7 @@ class Graph:
                             bridges.append(via)
                         else:
                             found.append(block)
-        pos = self._pos
-        return frozenset(bridges), tuple(
-            tuple(sorted(block, key=pos.__getitem__)) for block in found)
+        return tuple(sorted(bridges)), tuple(tuple(sorted(b)) for b in found)
 
     def maximal_forest(self) -> frozenset[int]:
         """Deterministic spanning forest: greedy over ascending edge id,

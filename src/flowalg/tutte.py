@@ -106,35 +106,43 @@ def _normal_form(g: Graph) -> tuple:
 
 def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
     # ``key`` is ``_normal_form(g)``.  Equal keys mean isomorphic graphs, so
-    # a hit is sound before the block search.  T is multiplicative over
-    # blocks: a graph that is not one 2-connected block is x^bridges
-    # y^loops times the T of each block of two or more edges, and a single
-    # block is split by deletion-contraction on its lowest edge id.  Block
-    # products and single blocks are stored; a graph of only bridges and
-    # loops is not.
+    # a hit is sound before the block search.  Block products and single
+    # blocks are stored (see the module docstring); a graph of only bridges
+    # and loops is not: one search rebuilds its monomial, and storing it
+    # would only grow the memo.
     hit = _memo.get(key)
     if hit is not None:
         return hit
     bridges, blocks = g.blocks
     loops = g.num_edges - len(bridges) - sum(map(len, blocks))
-    if len(blocks) != 1 or bridges or loops:
+    if len(blocks) == 1 and not bridges and not loops:
+        result = _split(g)
+    elif not blocks:
+        return BiPoly({(len(bridges), loops): 1})
+    else:
         result = BiPoly({(len(bridges), loops): 1})
-        if not blocks:
-            return result
         by_id = g._by_id
         for block in blocks:
             edges = tuple(by_id[eid] for eid in block)
             b = Graph._derived(
                 tuple(sorted({v for _, t, h in edges for v in (t, h)})), edges)
-            result = result * _tutte_rec(b, _normal_form(b))
-    else:
-        pivot = min(g.edge_ids)
-        deleted = g.delete([pivot])
-        contracted = g.contract([pivot]).graph
-        result = (_tutte_rec(deleted, _normal_form(deleted))
-                  + _tutte_rec(contracted, _normal_form(contracted)))
+            b_key = _normal_form(b)
+            t = _memo.get(b_key)
+            if t is None:
+                t = _memo[b_key] = _split(b)
+            result = result * t
     _memo[key] = result
     return result
+
+
+def _split(g: Graph) -> BiPoly:
+    """T of a 2-connected block by deletion-contraction on its lowest edge
+    id; the block is known to be one, so it is not searched again."""
+    pivot = min(g.edge_ids)
+    deleted = g.delete([pivot])
+    contracted = g.contract([pivot]).graph
+    return (_tutte_rec(deleted, _normal_form(deleted))
+            + _tutte_rec(contracted, _normal_form(contracted)))
 
 
 def tutte_by_subsets(g: Graph) -> BiPoly:

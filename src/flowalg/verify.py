@@ -105,7 +105,9 @@ def _poly_add(a, b, shift=0):
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
     """Run the full identity and inequality suite on one graph.  A negative
-    theta bound raises ``InputError`` before any check runs."""
+    theta bound raises ``InputError``, and a coset system over
+    ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``, before any
+    check runs."""
     if theta_bound < 0:
         raise InputError(f"theta bound {theta_bound} is negative")
     # the theta product comes first, so that a coset system over its

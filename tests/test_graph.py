@@ -88,7 +88,7 @@ def test_cut_edges():
                 (6, 5, 6), (7, 6, 4), (8, 6, 6)], isolated=[7]))
 def test_blocks_and_bridges(g):
     bridges, blocks = g.blocks
-    assert g.cut_edges == bridges == {
+    assert g.cut_edges == set(bridges) == {
         eid for eid in g.edge_ids if reference_is_cut_edge(g, eid)}
     # bridges and blocks partition the non-loop edges
     assert sorted([*bridges, *(eid for b in blocks for eid in b)]) == sorted(
