@@ -117,10 +117,10 @@ def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
     loops = g.num_edges - len(bridges) - sum(map(len, blocks))
     if len(blocks) == 1 and not bridges and not loops:
         result = _split(g)
-    elif not blocks:
-        return BiPoly({(len(bridges), loops): 1})
     else:
         result = BiPoly({(len(bridges), loops): 1})
+        if not blocks:
+            return result
         by_id = g._by_id
         for block in blocks:
             edges = tuple(by_id[eid] for eid in block)
