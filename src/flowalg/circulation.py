@@ -9,7 +9,12 @@ inequality verifier.  The monomials of all degrees come from one walk over
 the chords that multiplies each shared prefix once; their tables, keyed by
 subset mask, are ranked as they are.
 
-Coefficients live in Q, Z, or a prime field F_p with p <= 97.
+Coefficients live in Q, Z, or a prime field F_p with p <= 97.  Sums and
+products are computed in Z or Q with Python's own arithmetic; since the
+circulation algebra is finitely generated and torsion-free, an F_p value is
+the integer one reduced mod p, so the ring is applied once, by
+``Ring.coerce``, to every entry a circulation stores.  Coefficients that are
+not an int or a ``Fraction``, floats included, are refused.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from .tutte import poincare, tutte
 
 
 class Ring:
-    """Arithmetic of one of the supported coefficient rings."""
+    """One of the supported coefficient rings, Z, Q or F_p.  Circulations
+    compute in Z or Q with Python's own arithmetic; the ring enters only
+    through :meth:`coerce`, the reduction applied to every stored entry."""
 
     __slots__ = ("label", "char")
 
@@ -39,28 +46,25 @@ class Ring:
         self.char = char
 
     def coerce(self, x):
-        if self.char:
-            if isinstance(x, Fraction):
-                if x.denominator % self.char == 0:
-                    raise InputError("denominator not invertible in F_p")
-                return (x.numerator * pow(x.denominator, -1, self.char)) % self.char
-            return int(x) % self.char
-        if self.label == "Q":
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise InputError("non-integer coefficient in an integer circulation")
-            return int(x)
-        return int(x)
-
-    def add(self, a, b):
-        return (a + b) % self.char if self.char else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
-
-    def neg(self, a):
-        return (-a) % self.char if self.char else -a
+        """The image of an int or a ``Fraction`` in this ring: an int in Z,
+        an int or a ``Fraction`` in Q, an int in 0..p-1 in F_p.  Anything
+        else (a float included), a non-integer in Z and a denominator
+        divisible by p raise ``InputError``."""
+        try:
+            num, den = x.numerator, x.denominator
+        except AttributeError:
+            raise InputError(
+                f"coefficient {x!r} is not an int or a Fraction") from None
+        p = self.char
+        if p:
+            if den % p == 0:
+                raise InputError("denominator not invertible in F_p")
+            return num % p if den == 1 else num * pow(den, -1, p) % p
+        if den == 1:
+            return num
+        if self.label == "Z":
+            raise InputError("non-integer coefficient in an integer circulation")
+        return Fraction(num, den)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.label == other.label
@@ -113,7 +117,7 @@ class Circulation:
         return Circulation(ring, {1 << i: v for i, v in enumerate(vec) if v})
 
     def value(self, mask: int):
-        return self.table.get(mask, self.ring.coerce(0))
+        return self.table.get(mask, 0)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -133,34 +137,32 @@ class Circulation:
         self._require_same_ring(other)
         acc = dict(self.table)
         for m, v in other.table.items():
-            acc[m] = self.ring.add(acc.get(m, 0), v)
+            acc[m] = acc.get(m, 0) + v
         return Circulation(self.ring, acc)
 
     def __sub__(self, other: "Circulation") -> "Circulation":
         self._require_same_ring(other)
         acc = dict(self.table)
         for m, v in other.table.items():
-            acc[m] = self.ring.add(acc.get(m, 0), self.ring.neg(v))
+            acc[m] = acc.get(m, 0) - v
         return Circulation(self.ring, acc)
 
     def scale(self, c) -> "Circulation":
         c = self.ring.coerce(c)
-        return Circulation(self.ring,
-                           {m: self.ring.mul(c, v) for m, v in self.table.items()})
+        return Circulation(self.ring, {m: c * v for m, v in self.table.items()})
 
     def __mul__(self, other: "Circulation") -> "Circulation":
         """Subset-convolution product: the value on a subset is the sum of
         products over its two-block ordered splittings."""
         self._require_same_ring(other)
-        ring = self.ring
         acc: dict[int, object] = {}
         for m1, v1 in self.table.items():
             for m2, v2 in other.table.items():
                 if m1 & m2:
                     continue
                 k = m1 | m2
-                acc[k] = ring.add(acc.get(k, 0), ring.mul(v1, v2))
-        return Circulation(ring, acc)
+                acc[k] = acc.get(k, 0) + v1 * v2
+        return Circulation(self.ring, acc)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Circulation) and self.ring == other.ring
@@ -173,15 +175,14 @@ class Circulation:
         """Whether every sparse relation row, a sequence of (column index,
         coefficient) pairs with columns indexing ``basis_masks``, pairs to
         zero with this table."""
-        ring = self.ring
         table = self.table
         for row in rows:
-            acc = ring.coerce(0)
+            acc = 0
             for col, coef in row:
                 val = table.get(basis_masks[col])
                 if val is not None:  # absent keys are zero
-                    acc = ring.add(acc, ring.mul(ring.coerce(coef), val))
-            if acc != 0:
+                    acc += coef * val
+            if self.ring.coerce(acc) != 0:
                 return False
         return True
 
@@ -197,33 +198,31 @@ def exponential(phi: Circulation) -> Circulation:
     for m in phi.table:
         union |= m
     require_capacity(union.bit_count())
-    memo: dict[int, object] = {0: ring.coerce(1)}
+    memo: dict[int, object] = {0: 1}
 
     def exp_at(mask: int):
         if mask in memo:
             return memo[mask]
         low = mask & -mask
         rest = mask ^ low
-        total = ring.coerce(0)
+        total = 0
         # every partition has a unique block through the lowest element
         sub = rest
         while True:
             block = sub | low
             v = phi.table.get(block)
             if v is not None:
-                total = ring.add(total, ring.mul(v, exp_at(mask ^ block)))
+                total += v * exp_at(mask ^ block)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        memo[mask] = total
+        total = memo[mask] = ring.coerce(total)
         return total
 
     acc = {}
     sub = union
     while True:
-        val = exp_at(sub)
-        if val != 0:
-            acc[sub] = val
+        acc[sub] = exp_at(sub)
         if sub == 0:
             break
         sub = (sub - 1) & union
@@ -239,18 +238,15 @@ def divided_power(phi: Circulation, j: int) -> Circulation:
         raise InputError("divided power degree must be nonnegative")
     if j == 0:
         return Circulation.unit(phi.ring)
-    ring = phi.ring
-    entries = list(phi.table.items())
     acc = {}
-    for chosen in combinations(entries, j):
+    for chosen in combinations(phi.table.items(), j):
         mask = 0
-        val = ring.coerce(1)
+        val = 1
         for m, v in chosen:
             mask |= m
-            val = ring.mul(val, v)
-        if val != 0:
-            acc[mask] = val
-    return Circulation(ring, acc)
+            val *= v
+        acc[mask] = val
+    return Circulation(phi.ring, acc)
 
 
 def nilpotence(phi: Circulation) -> int:
@@ -310,13 +306,9 @@ def monomial_dimensions(g: Graph) -> list[int]:
     return dims
 
 
-def subset_masks(m: int, j: int) -> list[int]:
-    """All j-element subsets of m positions as bit masks, ascending."""
-    return list(_subset_masks(m, j))
-
-
 @lru_cache(maxsize=64)
-def _subset_masks(m: int, j: int) -> tuple[int, ...]:
+def subset_masks(m: int, j: int) -> tuple[int, ...]:
+    """All j-element subsets of m positions as bit masks, ascending."""
     if j < 0 or j > m:
         return ()
     if j == 0:
@@ -484,10 +476,11 @@ def verify_inequalities(g: Graph) -> CheckReport:
     rep.add("cycle-length-product-bound", ok)
 
     girth = g.girth()
-    limit = top if girth == float("inf") else min(int(girth), top)
+    limit = top if girth is None else min(girth, top)
     ok = all(d[j] == (1 if j == 0 else comb(d1 + j - 1, j))
              for j in range(limit + 1))
-    rep.add("girth-range-binomial", ok, f"girth={girth}")
+    rep.add("girth-range-binomial", ok,
+            f"girth={'inf' if girth is None else girth}")
 
     half = top // 2
     mono = all(d[j] <= d[j + 1] for j in range(half))

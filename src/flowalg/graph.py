@@ -306,14 +306,14 @@ class Graph:
 
     def girth(self):
         """Length of a shortest cycle: 1 for a loop, 2 for a parallel pair;
-        ``inf`` for forests."""
-        best = float("inf")
+        ``None`` for forests."""
+        best = None
         for eid, tail, head in self.edges:
             if tail == head:
                 return 1
             d = _dist_avoiding(self, tail, head, eid)
-            if d is not None:
-                best = min(best, d + 1)
+            if d is not None and (best is None or d + 1 < best):
+                best = d + 1
         return best
 
     def incidence_row(self, v: int) -> tuple[int, ...]:

@@ -238,10 +238,6 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
     for b, r in zip(basis, indices):
         reps = [tuple(x + gi * bi for x, bi in zip(vec, b))
                 for vec in reps for gi in range(r)]
-    distinct = len(set(reps))
-    if distinct != expected:
-        raise check_failed(g, "distinct representatives",
-                           f"{distinct} distinct of {expected}")
     prod_w = prod(weights)
     kappa = complexity(g)
     if prod_w != kappa * expected * expected:

@@ -84,7 +84,7 @@ def expand_mask_rows(m: int, j: int,
     """The degree-j relation matrix of an m-edge graph from its edge-mask
     rows: edge e of row (sigma, v, plus, minus) is the entry at column
     sigma | e, +1 if e is in plus and -1 if it is in minus."""
-    basis = tuple(subset_masks(m, j))
+    basis = subset_masks(m, j)
     # each surviving edge owns its own column sigma | e, so a row never
     # gets two entries in one column; columns grow with the edge position,
     # so every row comes out sorted

@@ -1,8 +1,10 @@
 import importlib
+import operator
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flowalg.errors as errors
 from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
@@ -215,3 +217,59 @@ def test_gf_validation():
     with pytest.raises(InputError):
         GF(101)
     assert GF(97).char == 97
+
+
+@pytest.mark.parametrize("ring, table", [
+    (ZZ, {1: 1.5}), (GF(5), {1: 2.7}), (QQ, {1: 0.1}), (ZZ, {1: "3"}),
+    (ZZ, {1: Fraction(1, 2)}), (GF(3), {1: Fraction(1, 3)})])
+def test_coefficients_that_are_refused(ring, table):
+    with pytest.raises(InputError):
+        Circulation(ring, table)
+
+
+def test_scale_refuses_a_float():
+    with pytest.raises(InputError):
+        Circulation(ZZ, {1: 1}).scale(2.9)
+
+
+def test_coefficient_images():
+    stored = Circulation(ZZ, {1: Fraction(4, 2)}).table[1]
+    assert stored == 2 and type(stored) is int
+    assert Circulation(GF(5), {1: Fraction(1, 2), 2: -1, 4: 10}).table == {
+        1: 3, 2: 4}
+    assert Circulation(QQ, {1: Fraction(2, 6)}).table == {1: Fraction(1, 3)}
+
+
+def _mod(table, p):
+    """Reduction mod p of an integer table, zeros dropped."""
+    return {m: v % p for m, v in table.items() if v % p}
+
+
+_values = st.integers(-30, 30)
+_tables = st.dictionaries(st.integers(0, 31), _values, max_size=8)
+_degree_one = st.dictionaries(st.sampled_from((1, 2, 4, 8, 16)), _values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables, _tables, _values, _degree_one, st.integers(0, 5),
+       st.sampled_from((2, 3, 5, 97)))
+def test_reduction_mod_p_is_a_ring_homomorphism(a, b, c, beta, j, p):
+    """Reducing a result over Z mod p gives the same operation done in F_p
+    on the reduced inputs; over Q, integer tables give the result over Z."""
+    fp = GF(p)
+    ops = (operator.add, operator.sub, operator.mul,
+           lambda x, y: x.scale(c))
+    for op in ops:
+        over_z = op(Circulation(ZZ, a), Circulation(ZZ, b)).table
+        assert op(Circulation(fp, _mod(a, p)),
+                  Circulation(fp, _mod(b, p))).table == _mod(over_z, p)
+        assert op(Circulation(QQ, a), Circulation(QQ, b)).table == over_z
+    positive = {m: v for m, v in a.items() if m}
+    over_z = exponential(Circulation(ZZ, positive)).table
+    assert exponential(Circulation(fp, _mod(positive, p))).table == _mod(
+        over_z, p)
+    assert exponential(Circulation(QQ, positive)).table == over_z
+    over_z = divided_power(Circulation(ZZ, beta), j).table
+    assert divided_power(Circulation(fp, _mod(beta, p)), j).table == _mod(
+        over_z, p)
+    assert divided_power(Circulation(QQ, beta), j).table == over_z

@@ -96,6 +96,8 @@ def test_coset_system_examples():
     forest = coset_system(path_graph(4))
     assert forest.chords == ()
     assert forest.representatives == ((0, 0, 0),)
+    for system in (cn, k4, forest):
+        assert len(set(system.representatives)) == prod(system.indices)
 
 
 def test_theta_cycle():
@@ -166,6 +168,8 @@ def test_coset_system_greedy_order(fig1_left, fig1_right):
     assert prod(left.indices) == len(left.representatives) == 1_890
     right = coset_system(fig1_right, greedy=True)
     assert prod(right.indices) == len(right.representatives) == 315
+    for system in (left, right):
+        assert len(set(system.representatives)) == prod(system.indices)
 
 
 def test_theta_routes_agree_on_sample_graphs(graph_dir):
