@@ -171,15 +171,14 @@ class Circulation:
     def __repr__(self):
         return f"Circulation({self.ring}, {self.table!r})"
 
-    def annihilates(self, rows, basis_masks) -> bool:
-        """Whether every sparse relation row, a sequence of (column index,
-        coefficient) pairs with columns indexing ``basis_masks``, pairs to
-        zero with this table."""
+    def annihilates(self, rows) -> bool:
+        """Whether every sparse relation row, a sequence of (subset mask,
+        coefficient) pairs, pairs to zero with this table."""
         table = self.table
         for row in rows:
             acc = 0
-            for col, coef in row:
-                val = table.get(basis_masks[col])
+            for mask, coef in row:
+                val = table.get(mask)
                 if val is not None:  # absent keys are zero
                     acc += coef * val
             if self.ring.coerce(acc) != 0:
@@ -267,7 +266,7 @@ def nilpotence(phi: Circulation) -> int:
 def basic_flow_circulations(g: Graph) -> dict[int, Circulation]:
     """Chord id -> degree-1 integer circulation of its basic flow."""
     return {c: Circulation.from_edge_vector(ZZ, flow)
-            for c, flow in g.basic_flows(g.maximal_forest()).items()}
+            for c, flow in g.basic_flows().items()}
 
 
 def monomial_dimensions(g: Graph) -> list[int]:

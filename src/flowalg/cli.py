@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 from .errors import CapacityError, CheckError, FlowAlgError, InputError
 from .graph import Graph
@@ -172,7 +173,7 @@ def _cmd_lattice(args, started):
         "forest-count": complexity(g),
         "indices": list(system.indices),
         "weights": list(system.weights),
-        "coset-size": len(system.representatives),
+        "coset-size": prod(system.indices),
     }
     return _document("lattice", [args.file], results, None, started), EXIT_OK
 

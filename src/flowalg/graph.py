@@ -234,33 +234,15 @@ class Graph:
         return frozenset(eid for eid, tail, head in sorted(self.edges)
                          if _union(parent, tail, head))
 
-    def chords(self, forest: frozenset[int] | None = None) -> tuple[int, ...]:
-        """Non-forest edges in ascending id order."""
-        if forest is None:
-            forest = self.maximal_forest()
-        return tuple(sorted(set(self.edge_ids) - set(forest)))
-
-    def basic_flow(self, forest: Iterable[int], c: int) -> tuple[int, ...]:
-        """Signed indicator of the fundamental cycle of the chord ``c``,
-        normalized to +1 at ``c`` in reference coordinates.
-
-        The returned vector over edge positions satisfies every vertex
-        conservation law (see :meth:`incidence_row`).
-        """
-        forest = self._check_subset(forest)
-        if c in forest:
-            raise InputError(f"edge {c} lies in the forest")
-        self.edge(c)
-        return self.basic_flows(forest)[c]
-
-    def basic_flows(self, forest: Iterable[int]) -> dict[int, tuple[int, ...]]:
-        """Chord id -> :meth:`basic_flow` of that chord, in ascending chord
-        id order.  The forest is checked once, and every fundamental cycle
-        is read from one rooted BFS tree of it: the chord's ends climb to
-        their common ancestor."""
-        forest = self._check_subset(forest)
-        if not _is_maximal_forest(self, forest):
-            raise InputError("given edge set is not a maximal forest")
+    def basic_flows(self) -> dict[int, tuple[int, ...]]:
+        """Chord id -> basic flow of that chord, in ascending chord id
+        order, for the chords of :meth:`maximal_forest`.  The basic flow of
+        a chord c is the signed indicator of its fundamental cycle over the
+        edge positions, +1 at c in reference coordinates; it satisfies every
+        vertex conservation law (see :meth:`incidence_row`).  Every
+        fundamental cycle is read from one rooted BFS tree of the forest:
+        the chord's ends climb to their common ancestor."""
+        forest = self.maximal_forest()
         adj: dict[int, list[tuple[int, int, int]]] = {
             v: [] for v in self.vertices}
         for eid, t, h in self.edges:
@@ -286,7 +268,7 @@ class Graph:
                             nxt.append(other)
                 queue = nxt
         flows = {}
-        for c in self.chords(forest):
+        for c in sorted(set(self.edge_ids) - forest):
             _, tail_c, head_c = self._by_id[c]
             flow = [0] * self.num_edges
             flow[self._pos[c]] = 1
@@ -396,16 +378,6 @@ def _components(vertices, pairs):
                 r = parent[r]
         comp[v] = r
     return count, comp
-
-
-def _is_maximal_forest(g: Graph, edge_set: frozenset[int]) -> bool:
-    n_forest = len(edge_set)
-    k_sub, _ = _components(g.vertices,
-                           [(t, h) for eid, t, h in g.edges if eid in edge_set])
-    # acyclic iff |V| - |edges| = #components; maximal iff as many components
-    # as the host graph
-    return (g.num_vertices - n_forest == k_sub
-            and k_sub == g.num_components)
 
 
 def _dist_avoiding(g: Graph, start, goal, avoid_eid):

@@ -152,7 +152,7 @@ def norm_identity_check(g: Graph, eid: int) -> bool:
 def lattice(g: Graph) -> FlowLattice:
     """Basic-flow basis and Gram matrix; the determinant is computed exactly
     and asserted equal to the number of maximal forests."""
-    flows = g.basic_flows(g.maximal_forest())
+    flows = g.basic_flows()
     chords = tuple(flows)
     basis = list(flows.values())
     gram = [[_dot(b1, b2) for b2 in basis] for b1 in basis]
@@ -202,7 +202,7 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
     Raises ``CapacityError`` before building any representative if their
     number exceeds ``MAX_COSET_REPRESENTATIVES``.
     """
-    flows = g.basic_flows(g.maximal_forest())
+    flows = g.basic_flows()
     remaining = list(flows)
     chords, indices, rescaled = [], [], []
     sub = g
@@ -271,7 +271,7 @@ def theta_product(g: Graph, bound) -> QSeries:
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     system = coset_system(g, greedy=True)
-    flows = g.basic_flows(g.maximal_forest())
+    flows = g.basic_flows()
     phis, weights = system.rescaled, system.weights
     n = len(phis)
     # pairing[i][k] = <b_i, phi_k>, zero for i > k

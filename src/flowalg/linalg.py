@@ -9,7 +9,9 @@ the monomial evaluation matrices are ranked by :func:`rank_int_rows`, a
 row-by-row echelon reduction in integers.  One integer lattice reduction,
 the row Hermite form of :func:`hermite_rows`, a unimodular row-by-row
 reduction, gives both the integer kernels and the Smith invariant factors
-(alternating row Hermite forms); they take and return sparse rows.
+(alternating row Hermite forms); they take and return sparse rows.  A
+column may be any integer, such as the subset mask that names a column of a
+relation matrix, and columns are ordered by their value.
 
 Minimum-norm points come from one orthogonal projection onto a kernel,
 computed by a fraction-free integer solve of the Gram system mat mat^T; on
@@ -188,19 +190,21 @@ def _columns(rows) -> dict[int, dict[int, int]]:
     return cols
 
 
-def integer_kernel_basis(rows, ncols: int) -> list[dict[int, int]]:
+def integer_kernel_basis(rows, columns) -> list[dict[int, int]]:
     """Basis of the integer kernel ``{x : mat @ x = 0}`` of sparse integer
-    rows with columns 0..ncols-1, as sparse rows in row Hermite form.
+    rows over the ascending column keys ``columns`` (a sequence), as sparse
+    rows in row Hermite form.
 
-    One :func:`hermite_rows` of ``[mat^T | I]``: its rows span the same
-    lattice as the unimodular ``[mat^T | I]``, so those with a zero left
-    block are a basis of the kernel, and they come out in Hermite form,
-    which is unique for the lattice.  Without rows, the basis is I.
+    One :func:`hermite_rows` of ``[mat^T | I]``, the rows of mat^T and of I
+    taken in the order of ``columns``: its rows span the same lattice as
+    the unimodular ``[mat^T | I]``, so those with a zero left block are a
+    basis of the kernel, and they come out in Hermite form, which is unique
+    for the lattice.  Without rows, the basis is I.
     """
     nr = len(rows)
     cols = _columns(rows)
-    aug = [{**cols.get(c, {}), nr + c: 1} for c in range(ncols)]
-    return [{c - nr: v for c, v in row.items()}
+    aug = [{**cols.get(c, {}), nr + k: 1} for k, c in enumerate(columns)]
+    return [{columns[k - nr]: v for k, v in row.items()}
             for row in hermite_rows(aug) if min(row) >= nr]
 
 

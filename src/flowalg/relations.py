@@ -11,9 +11,15 @@ that edge, not a contracted graph per subset.  Each class carries the masks
 of the edges with their head and with their tail in it, so a row is held as
 (sigma, v, plus, minus), the edge masks of its +1 and -1 entries; an edge e
 owns the column sigma | e.  ``relation_matrix`` walks to one level and
-expands its rows to sparse (column, +-1) rows; ``edge_mask_rows`` gives the
-rows of every degree from one walk.  Ranks of these matrices give the rank
-sequence independently of the Tutte route.
+expands its rows to sparse (subset mask, +-1) rows; ``edge_mask_rows`` gives
+the rows of every degree from one walk.  Ranks of these matrices give the
+rank sequence independently of the Tutte route.
+
+A degree-j column is named by its j-subset mask everywhere, from the
+relation rows through the kernels to the circulation tables, as in the
+paper, where an element of Hom(K^j(X), B) is a function on the j-subsets.
+Masks ascend as the positions of ``subset_masks`` do, so every Hermite form,
+kernel basis and Smith form is the one of the positional matrix, relabelled.
 """
 
 from __future__ import annotations
@@ -34,19 +40,15 @@ class RelationMatrix:
     """Signed incidence relations of all (j-1)-fold contractions, expressed
     over the degree-j subset basis.
 
-    ``rows[i]`` is a sparse tuple of (column index, coefficient) pairs,
-    columns ascending, labeled by ``row_labels[i] = (sigma mask, image
+    ``rows[i]`` is a sparse tuple of (subset mask, coefficient) pairs,
+    masks ascending, labeled by ``row_labels[i] = (sigma mask, image
     vertex)``; zero rows are kept so the generating set matches the
-    definition row for row.
+    definition row for row.  ``basis`` holds the column masks, ascending.
     """
     degree: int
     basis: tuple[int, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple[tuple[int, int], ...]
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.basis)
 
 
 def relation_matrix(g: Graph, j: int) -> RelationMatrix:
@@ -54,7 +56,7 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
     conservation row of every vertex of the contraction X/sigma.
 
     The class walk stops at level j - 1, whose edge-mask rows are expanded
-    to sparse (column, +-1) rows.  Rows follow ascending sigma, then
+    to sparse (subset mask, +-1) rows.  Rows follow ascending sigma, then
     ascending image vertex.
     """
     m = g.num_edges
@@ -84,12 +86,9 @@ def expand_mask_rows(m: int, j: int,
     """The degree-j relation matrix of an m-edge graph from its edge-mask
     rows: edge e of row (sigma, v, plus, minus) is the entry at column
     sigma | e, +1 if e is in plus and -1 if it is in minus."""
-    basis = subset_masks(m, j)
-    # each surviving edge owns its own column sigma | e, so a row never
-    # gets two entries in one column; columns grow with the edge position,
-    # so every row comes out sorted
-    pos = {mask: (c, 1) for c, mask in enumerate(basis)}
-    neg = {mask: (c, -1) for c, mask in enumerate(basis)}
+    # each surviving edge lies outside sigma and owns its own column
+    # sigma | e, so a row never gets two entries in one column; the columns
+    # grow with the edge, so every row comes out sorted
     out = []
     labels = []
     for sigma, v, plus, minus in rows:
@@ -98,10 +97,10 @@ def expand_mask_rows(m: int, j: int,
         while both:
             bit = both & -both
             both ^= bit
-            row.append((pos if plus & bit else neg)[sigma | bit])
+            row.append((sigma | bit, 1 if plus & bit else -1))
         out.append(tuple(row))
         labels.append((sigma, v))
-    return RelationMatrix(j, basis, tuple(out), tuple(labels))
+    return RelationMatrix(j, subset_masks(m, j), tuple(out), tuple(labels))
 
 
 def _class_levels(g: Graph) -> Iterator[dict]:
@@ -171,19 +170,12 @@ def torsion_check(g: Graph, j: int) -> bool:
     return all(f == 1 for f in smith_normal_form(relation_matrix(g, j).rows))
 
 
-def integral_circulations(g: Graph, j: int) -> list[tuple[int, ...]]:
+def integral_circulations(g: Graph, j: int) -> list[Circulation]:
     """Basis of the integer kernel of the degree-j relation matrix, in row
-    Hermite form, as coordinate tuples over the subset basis."""
+    Hermite form over the subset basis, as circulations over Z."""
     rel = relation_matrix(g, j)
-    return [tuple(v.get(c, 0) for c in range(rel.num_columns))
-            for v in integer_kernel_basis(rel.rows, rel.num_columns)]
-
-
-def circulation_from_coords(g: Graph, j: int, coords) -> Circulation:
-    """Wrap an integer coordinate vector over the degree-j subset basis as a
-    circulation table over Z."""
-    masks = subset_masks(g.num_edges, j)
-    return Circulation(ZZ, {mask: c for mask, c in zip(masks, coords) if c})
+    return [Circulation(ZZ, v)
+            for v in integer_kernel_basis(rel.rows, rel.basis)]
 
 
 def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
@@ -205,21 +197,18 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     if i + j > m:
         return ()
     rel = relation_matrix(g, i + j)
-    d = rel.num_columns - rank_int_rows(rel.rows)
+    d = len(rel.basis) - rank_int_rows(rel.rows)
     if not d:
         return ()
-    low_i = [circulation_from_coords(g, i, v)
-             for v in integral_circulations(g, i)]
-    low_j = (low_i if i == j else
-             [circulation_from_coords(g, j, v)
-              for v in integral_circulations(g, j)])
+    low_i = integral_circulations(g, i)
+    low_j = low_i if i == j else integral_circulations(g, j)
     if not low_i or not low_j:
         return ()
     products = []
     for phi in low_i:
         for theta in low_j:
             prod = phi * theta
-            if not prod.annihilates(rel.rows, rel.basis):
+            if not prod.annihilates(rel.rows):
                 raise check_failed(g, "product membership",
                                    f"a product of degrees {i} and {j} is "
                                    f"not a degree-{i + j} circulation")

@@ -3,8 +3,7 @@ coefficients.
 
 A :class:`QSeries` stores a finite table exponent -> coefficient together
 with an inclusive truncation bound N; every exponent is a nonnegative
-rational <= N and zero coefficients are never stored.  Since all exponents
-are nonnegative, the truncated product of truncated series is exact up to N.
+rational <= N and zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -49,26 +48,6 @@ class QSeries:
             if e == exponent:
                 return c
         return 0
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        bound = min(self.bound, other.bound)
-        acc: dict[Fraction, int] = {}
-        for e, c in self.terms + other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return QSeries.from_dict(acc, bound)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        bound = min(self.bound, other.bound)
-        acc: dict[Fraction, int] = {}
-        for e1, c1 in self.terms:
-            if e1 > bound:
-                continue
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if e > bound:
-                    break
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return QSeries.from_dict(acc, bound)
 
     def has_integer_exponents(self) -> bool:
         return all(e.denominator == 1 for e, _ in self.terms)

@@ -38,9 +38,8 @@ from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
-from .relations import (circulation_from_coords, edge_mask_rows,
-                        expand_mask_rows, integral_circulations, rank_sequence,
-                        torsion_check)
+from .relations import (edge_mask_rows, expand_mask_rows,
+                        integral_circulations, rank_sequence, torsion_check)
 from .report import CheckReport
 from .tutte import complexity, poincare
 
@@ -104,10 +103,13 @@ def _poly_add(a, b, shift=0):
 
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
-    """Run the full identity and inequality suite on one graph.  A negative
-    theta bound raises ``InputError``, and a coset system over
+    """Run the full identity and inequality suite on one graph.  A graph
+    with no vertex (the one-point-union check needs a vertex to glue at) and
+    a negative theta bound raise ``InputError``, and a coset system over
     ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``, before any
     check runs."""
+    if not g.vertices:
+        raise InputError("verify needs a graph with at least one vertex")
     if theta_bound < 0:
         raise InputError(f"theta bound {theta_bound} is negative")
     # the theta product comes first, so that a coset system over its
@@ -299,8 +301,8 @@ def multiplication_rank_check(g: Graph) -> bool:
     for _ in range(top):
         powers.append(powers[-1] * phi)
     for j in range(top // 2 + 1):
-        rows = [(circulation_from_coords(g, j, vec) * powers[top - 2 * j]).table
-                for vec in integral_circulations(g, j)]
+        rows = [(psi * powers[top - 2 * j]).table
+                for psi in integral_circulations(g, j)]
         if rank_int_rows(rows) != d[j]:
             return False
     return True

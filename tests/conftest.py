@@ -47,21 +47,24 @@ def sparse(mat):
     return [{c: v for c, v in enumerate(row) if v} for row in mat]
 
 
-def to_dense(rows, ncols):
-    """Dense lists of ``ncols`` entries from sparse rows (dicts or
-    sequences of (column, value) pairs)."""
+def to_dense(rows, columns):
+    """Dense lists over the ascending column keys ``columns`` (such as
+    ``range(n)`` or the subset masks of a relation matrix) from sparse rows
+    (dicts or sequences of (column, value) pairs)."""
+    index = {c: i for i, c in enumerate(columns)}
     out = []
     for row in rows:
-        dense = [0] * ncols
+        dense = [0] * len(index)
         for c, v in dict(row).items():
-            dense[c] = v
+            dense[index[c]] = v
         out.append(dense)
     return out
 
 
 def dense(rel):
-    """The dense matrix of a ``RelationMatrix``, one list per row."""
-    return to_dense(rel.rows, rel.num_columns)
+    """The dense matrix of a ``RelationMatrix``, one list per row, one
+    column per subset mask of its basis."""
+    return to_dense(rel.rows, rel.basis)
 
 
 def reference_hermite_rows(rows):

@@ -141,6 +141,15 @@ def test_verify_refuses_negative_theta_bound(capsys, graph_dir):
     assert doc["kind"] == "input"
 
 
+def test_verify_refuses_a_graph_with_no_vertices(capsys, tmp_path):
+    # the one-point-union check needs a vertex to glue at
+    path = tmp_path / "empty.g"
+    path.write_text("# no vertices\n")
+    code, doc = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert doc["kind"] == "input"
+
+
 def test_corpus_refuses_negative_theta_bound(capsys):
     code, doc = run_cli(capsys, "corpus", "--max-edges", "2",
                         "--max-norm", "-1")

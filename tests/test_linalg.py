@@ -113,24 +113,24 @@ def test_snf_factor_count_is_rank():
 
 def test_integer_kernel_basis():
     mat = sparse([[1, 1, 1], [0, 0, 0]])
-    basis = to_dense(integer_kernel_basis(mat, 3), 3)
+    basis = to_dense(integer_kernel_basis(mat, range(3)), range(3))
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
     # Hermite form is deterministic
-    again = to_dense(integer_kernel_basis(mat, 3), 3)
+    again = to_dense(integer_kernel_basis(mat, range(3)), range(3))
     assert basis == again
 
 
 def test_hermite_rows_normalizes():
-    rows = to_dense(hermite_rows(sparse([[2, 4], [0, 6]])), 2)
+    rows = to_dense(hermite_rows(sparse([[2, 4], [0, 6]])), range(2))
     assert rows == [[2, 4], [0, 6]]
-    rows = to_dense(hermite_rows(sparse([[0, 3], [2, 1]])), 2)
+    rows = to_dense(hermite_rows(sparse([[0, 3], [2, 1]])), range(2))
     assert rows[0][0] > 0
     assert 0 <= rows[0][1] < rows[1][1] or rows[1][1] == 0 or rows[0][1] == 0
     # any integer matrix: rank-deficient rows reduce to zero and are dropped
     assert to_dense(hermite_rows(sparse([[2, 4], [1, 2], [0, 0]])),
-                    2) == [[1, 2]]
+                    range(2)) == [[1, 2]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,10 +143,10 @@ def test_hermite_rows_matches_dense_reference(mat):
     """Zero rows, repeated rows and pivots that do not divide the entries
     below them, on the matrix and on its transpose."""
     ncols = len(mat[0]) if mat else 0
-    assert (to_dense(hermite_rows(sparse(mat)), ncols)
+    assert (to_dense(hermite_rows(sparse(mat)), range(ncols))
             == reference_hermite_rows(mat))
     cols = [list(col) for col in zip(*mat)]
-    assert (to_dense(hermite_rows(sparse(cols)), len(mat))
+    assert (to_dense(hermite_rows(sparse(cols)), range(len(mat)))
             == reference_hermite_rows(cols))
 
 
@@ -166,11 +166,28 @@ def test_increasing_column_relabel(mat, data):
     assert smith_normal_form(moved) == smith_normal_form(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_small_int_matrices(), st.integers(0, 3), st.data())
+def test_integer_kernel_basis_column_relabel(mat, extra, data):
+    """The kernel over columns relabelled by a strictly increasing map,
+    such as the subset masks of a relation matrix, is the kernel over
+    range(n) relabelled the same way; columns no row touches included."""
+    n = (len(mat[0]) if mat else 0) + extra
+    labels = sorted(data.draw(st.sets(st.integers(-50, 2**20),
+                                      min_size=n, max_size=n)))
+    rows = sparse(mat)
+    moved = [{labels[c]: v for c, v in row.items()} for row in rows]
+    assert integer_kernel_basis(moved, labels) == [
+        {labels[c]: v for c, v in row.items()}
+        for row in integer_kernel_basis(rows, range(n))]
+
+
 def test_integer_kernel_of_no_rows_is_the_identity():
     for n in range(4):
         identity = [[int(r == c) for c in range(n)] for r in range(n)]
-        assert to_dense(integer_kernel_basis([], n), n) == identity
-        assert to_dense(integer_kernel_basis([{}, ()], n), n) == identity
+        cols = range(n)
+        assert to_dense(integer_kernel_basis([], cols), cols) == identity
+        assert to_dense(integer_kernel_basis([{}, ()], cols), cols) == identity
 
 
 def test_hermite_rows_matches_dense_reference_on_relation_matrices(
@@ -179,7 +196,7 @@ def test_hermite_rows_matches_dense_reference_on_relation_matrices(
     for g in graphs:
         for j in range(g.num_edges + 1):
             rel = relation_matrix(g, j)
-            assert (to_dense(hermite_rows(rel.rows), rel.num_columns)
+            assert (to_dense(hermite_rows(rel.rows), rel.basis)
                     == reference_hermite_rows(dense(rel))), (g.edges, j)
 
 
@@ -194,9 +211,9 @@ def test_integer_kernel_basis_property(mat):
     Hermite form and spans a saturated lattice (every Smith factor 1)."""
     ncols = len(mat[0])
     rows = sparse(mat)
-    basis = integer_kernel_basis(rows, ncols)
+    basis = integer_kernel_basis(rows, range(ncols))
     assert all(sum(a * b for a, b in zip(row, v)) == 0
-               for row in mat for v in to_dense(basis, ncols))
+               for row in mat for v in to_dense(basis, range(ncols)))
     assert len(basis) == ncols - rank_int_rows(rows)
     assert hermite_rows(basis) == basis
     assert all(f == 1 for f in smith_normal_form(basis))
@@ -230,9 +247,10 @@ def test_min_norm_orthogonality_property(case):
     the value is 0 or some vector of ker(mat) is nonzero at i."""
     mat, i, value, ncols = case
     unit = [int(c == i) for c in range(ncols)]
-    directions = to_dense(integer_kernel_basis(sparse(mat + [unit]), ncols),
-                          ncols)
-    kernel = to_dense(integer_kernel_basis(sparse(mat), ncols), ncols)
+    cols = range(ncols)
+    directions = to_dense(integer_kernel_basis(sparse(mat + [unit]), cols),
+                          cols)
+    kernel = to_dense(integer_kernel_basis(sparse(mat), cols), cols)
     feasible = value == 0 or any(v[i] for v in kernel)
     if not feasible:
         with pytest.raises(InfeasibleError):

@@ -40,26 +40,6 @@ def test_psi_rejects_bad_weight():
         psi_series(0, 0, 4)
 
 
-def test_qseries_arithmetic():
-    a = QSeries.from_dict({F(0): 1, F(2): 3}, 10)
-    b = QSeries.from_dict({F(1): 2}, 10)
-    assert (a + b).terms == ((F(0), 1), (F(1), 2), (F(2), 3))
-    prod = a * b
-    assert prod.terms == ((F(1), 2), (F(3), 6))
-    assert (a * QSeries.one(10)) == a
-
-
-def test_qseries_truncation_is_exact():
-    a = QSeries.from_dict({F(0): 1, F(9): 1}, 10)
-    b = QSeries.from_dict({F(0): 1, F(9): 1}, 10)
-    prod = a * b
-    # the 18 term falls outside the bound; everything else is exact
-    assert prod.coefficient(0) == 1
-    assert prod.coefficient(9) == 2
-    assert prod.coefficient(18) == 0
-    assert all(e <= 10 for e, _ in prod.terms)
-
-
 def test_qseries_drops_zero_coefficients():
     s = QSeries.from_dict({F(1): 5, F(2): 0}, 9)
     assert s.terms == ((F(1), 5),)

@@ -17,15 +17,17 @@ quartiles, the median ratio (change / parent), the number of pairs the
 change won, by the metric's ``better`` direction, and a verdict; and the
 machine: CPU count and Python version.
 
-Before the pairs, each workload runs once traced in the change's tree,
+Before the pairs, each workload runs traced in the change's tree,
 
-    python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 1
+    python3 perfbench/run.py --workload W --seed s --seconds S --trace 1
 
 which fails when an item fails, when a traced output differs from its
 untraced replay, or when a layer that ``perfbench/tracing.py`` requires
-made no calls.  A traced run that exits non-zero stops the script with
-its standard error; each run's ``correct`` and ``problems`` are recorded
-under ``traced`` in the output.
+made no calls.  The corpus workloads run at seeds 0-3, one run per stride
+offset of their sample (seed % 4), so every sample a pair can draw has
+passed the gate; ``figure-cli`` runs at seed 0.  A traced run that exits
+non-zero stops the script with its standard error; each run's seed,
+``correct`` and ``problems`` are recorded under ``traced`` in the output.
 
 The verdict says whether the pairs can tell the two sides apart.  It is
 "unresolved" when the change's median lies inside the parent's
@@ -56,6 +58,10 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# the seeds of the traced runs: the corpus sample starts at seed % 4, and
+# the seed of any other workload only picks where its run starts
+TRACED_SEEDS = {"corpus-verify": range(4), "corpus-orient": range(4)}
 
 
 def git(*args: str) -> str:
@@ -95,20 +101,21 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def traced_run(tree: pathlib.Path, workload: str, seconds: float) -> dict:
-    """One traced run (seed 0) in ``tree``: its verdict and problems, read
-    from the result file it writes.  A run that exits non-zero stops the
-    script with its standard error."""
+def traced_run(tree: pathlib.Path, workload: str, seed: int,
+               seconds: float) -> dict:
+    """One traced run in ``tree``: its verdict and problems, read from the
+    result file it writes.  A run that exits non-zero stops the script
+    with its standard error."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", str(seconds), "--trace", "1"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"traced {workload} run in {tree} exited "
+        sys.exit(f"traced {workload} seed {seed} run in {tree} exited "
                  f"{proc.returncode}:\n{proc.stderr}")
     rec = json.loads((tree / "perfbench" / "results"
-                      / f"{workload}-seed0-trace1.json").read_text())
-    return {"seed": 0, "correct": rec["result"]["correct"],
+                      / f"{workload}-seed{seed}-trace1.json").read_text())
+    return {"seed": seed, "correct": rec["result"]["correct"],
             "problems": rec["problems"]}
 
 
@@ -187,9 +194,13 @@ def main() -> int:
         for side, rev in revs.items():
             extract(rev, trees[side])
         for workload in workloads:
-            record["traced"][workload] = traced_run(
-                trees["change"], workload, spec["run_seconds"])
-            print(f"{workload} traced: correct", file=sys.stderr, flush=True)
+            runs = record["traced"][workload] = []
+            for seed in TRACED_SEEDS.get(workload, (0,)):
+                runs.append(traced_run(trees["change"], workload, seed,
+                                       spec["run_seconds"]))
+                print(f"{workload} seed {seed} traced: correct "
+                      f"{runs[-1]['correct']}, problems "
+                      f"{runs[-1]['problems']}", file=sys.stderr, flush=True)
         for workload in workloads:
             pairs = []
             for seed in range(1, a.pairs + 1):
