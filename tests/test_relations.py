@@ -124,7 +124,8 @@ def test_torsion_check():
 def test_integral_circulations_triangle():
     basis = integral_circulations(cycle_graph(3), 1)
     assert len(basis) == 1
-    assert {m: abs(x) for m, x in basis[0].table.items()} == {1: 1, 2: 1, 4: 1}
+    assert {m: abs(x) for m, x in basis[0].table.items()} == {
+        1: 1, 2: 1, 4: 1}
 
 
 def test_integral_circulations_forest_and_k4():
