@@ -156,12 +156,9 @@ def rank_sequence(g: Graph) -> tuple[int, ...]:
     """d_j = C(m, j) - rank(relations of degree j) for j = 0..m."""
     m = g.num_edges
     require_capacity(m)
-    out = []
-    for j in range(m + 1):
-        rel = relation_matrix(g, j)
-        rnk = rank_int_rows(rel.rows)
-        out.append(comb(m, j) - rnk)
-    return tuple(out)
+    # each matrix is dropped before the next degree is built
+    return tuple(comb(m, j) - rank_int_rows(relation_matrix(g, j).rows)
+                 for j in range(m + 1))
 
 
 def torsion_check(g: Graph, j: int) -> bool:
