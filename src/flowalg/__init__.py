@@ -14,8 +14,8 @@ from .graph import (Graph, ContractionImage, build, bouquet_graph,
                     one_point_union, path_graph)
 from .lattice import (CharacteristicFlow, CosetSystem, FlowLattice,
                       characteristic_flow, codichromatic_compare,
-                      coset_system, flows_of_norm, lattice,
-                      norm_identity_check, theta_enumerate, theta_product)
+                      coset_system, flows_of_norm, lattice, theta_enumerate,
+                      theta_product)
 from .relations import (RelationMatrix, integral_circulations, product_torsion,
                         rank_sequence, relation_matrix, torsion_check)
 from .series import QSeries, psi_series
@@ -32,8 +32,8 @@ __all__ = [
     "complexity", "coset_system", "cycle_graph", "dipole_graph",
     "disjoint_union", "divided_power", "exponential", "flows_of_norm",
     "integral_circulations", "lattice", "monomial_dimensions", "nilpotence",
-    "norm_identity_check", "one_point_union", "path_graph", "poincare",
-    "product_torsion", "pseudopower", "psi_series", "rank_sequence",
-    "relation_matrix", "relation_membership_check", "theta_enumerate",
-    "theta_product", "torsion_check", "tutte", "verify_inequalities",
+    "one_point_union", "path_graph", "poincare", "product_torsion",
+    "pseudopower", "psi_series", "rank_sequence", "relation_matrix",
+    "relation_membership_check", "theta_enumerate", "theta_product",
+    "torsion_check", "tutte", "verify_inequalities",
 ]

@@ -143,12 +143,6 @@ def _integrate_potential(g: Graph, eid: int, chi, base: int
     return potential
 
 
-def norm_identity_check(g: Graph, eid: int) -> bool:
-    """Exact test of <chi, chi> = kappa(X) / kappa(X minus e)."""
-    flow = characteristic_flow(g, eid)
-    return flow.norm == Fraction(complexity(g), complexity(g.delete([eid])))
-
-
 def lattice(g: Graph) -> FlowLattice:
     """Basic-flow basis and Gram matrix; the determinant is computed exactly
     and asserted equal to the number of maximal forests."""

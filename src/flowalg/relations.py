@@ -15,6 +15,17 @@ expands its rows to sparse (subset mask, +-1) rows; ``edge_mask_rows`` gives
 the rows of every degree from one walk.  Ranks of these matrices give the
 rank sequence independently of the Tutte route.
 
+The classes of X/sigma depend on the undirected graph alone, and a graph has
+far fewer partitions than masks, so ``_class_table`` holds them once: a
+partition id per mask, and per distinct partition its labels and the port
+masks of its classes.  It is built edge by edge, each step joining every
+partition seen so far across the next edge once.  Re-orienting a set F of
+edges keeps the partitions and moves the edges of F between the two port
+masks of each class, which is what the orientation trials of ``verify``
+compare.  The table and the level walk of ``relation_matrix`` are two
+walks to the same rows, and those trials check one against the other on
+every graph before they read the table.
+
 A degree-j column is named by its j-subset mask everywhere, from the
 relation rows through the kernels to the circulation tables, as in the
 paper, where an element of Hom(K^j(X), B) is a function on the j-subsets.
@@ -28,6 +39,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
+from typing import NamedTuple
 
 from .circulation import Circulation, ZZ, subset_masks
 from .errors import InputError, check_failed, require_capacity
@@ -103,6 +115,20 @@ def expand_mask_rows(m: int, j: int,
     return RelationMatrix(j, subset_masks(m, j), tuple(out), tuple(labels))
 
 
+def _vertex_ports(g: Graph) -> tuple[list[tuple[int, int]], dict]:
+    """The ends of each edge as vertex positions (tail, head), and a dict
+    from each vertex, ascending, to the masks of the edges with their head
+    and with their tail at it: the classes of the empty mask."""
+    at = {v: i for i, v in enumerate(g.vertices)}
+    ports = {v: (0, 0) for v in sorted(g.vertices)}
+    for i, (_, t, h) in enumerate(g.edges):
+        into, out = ports[h]
+        ports[h] = into | 1 << i, out
+        into, out = ports[t]
+        ports[t] = into, out | 1 << i
+    return [(at[t], at[h]) for _, t, h in g.edges], ports
+
+
 def _class_levels(g: Graph) -> Iterator[dict]:
     """Yield the levels k = 0, 1, ... (up to m - 1) of the class walk:
     dicts from each k-edge mask sigma, ascending, to (cls, ports).  cls[i]
@@ -113,15 +139,8 @@ def _class_levels(g: Graph) -> Iterator[dict]:
     The classes of sigma are those of sigma minus its lowest edge, joined
     across that edge and named by their minimum vertex id; a joined class
     takes the union of both port masks."""
-    at = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(at[t], at[h]) for _, t, h in g.edges]
+    ends, ports = _vertex_ports(g)
     m = len(ends)
-    ports = {v: (0, 0) for v in sorted(g.vertices)}
-    for i, (_, t, h) in enumerate(g.edges):
-        into, out = ports[h]
-        ports[h] = into | 1 << i, out
-        into, out = ports[t]
-        ports[t] = into, out | 1 << i
     level = {0: (g.vertices, ports)}
     yield level
     for k in range(1, m):
@@ -150,6 +169,67 @@ def _level_rows(level) -> Iterator[tuple[int, int, int, int]]:
     return ((sigma, v, into & ~out, out & ~into)
             for sigma, (_, ports) in level.items()
             for v, (into, out) in ports.items())
+
+
+class _ClassTable(NamedTuple):
+    """The classes of every edge mask, held once per distinct partition.
+    ``part[sigma]`` is the partition id of mask sigma; ``classes[p]`` has
+    the image label of each vertex, the least vertex id of its class, as
+    ``_class_levels`` names them; ``ports[p]`` has one (v, into, out) per
+    image vertex v, ascending, with the masks of the edges whose head and
+    whose tail lie in v's class."""
+    part: list[int]
+    classes: list[tuple[int, ...]]
+    ports: list[tuple[tuple[int, int, int], ...]]
+
+
+def _class_table(g: Graph) -> _ClassTable:
+    """The class table of g, built edge by edge: the masks whose highest
+    edge is e are the masks below 2^e joined across e, so each step joins
+    every partition seen so far once and extends ``part`` through that
+    join.  A joined class takes the union of both port masks."""
+    require_capacity(g.num_edges)
+    ends, ports = _vertex_ports(g)
+    classes = [g.vertices]
+    table = [tuple([(v, into, out) for v, (into, out) in ports.items()])]
+    index = {g.vertices: 0}
+    part = [0]
+    for t, h in ends:
+        te = []
+        for p in range(len(classes)):
+            cls = classes[p]
+            a, b = cls[t], cls[h]
+            if a == b:
+                te.append(p)
+                continue
+            if a > b:
+                a, b = b, a
+            joined = tuple([a if c == b else c for c in cls])
+            q = index.get(joined)
+            if q is None:
+                q = index[joined] = len(classes)
+                classes.append(joined)
+                for v, into_b, out_b in table[p]:
+                    if v == b:
+                        break
+                table.append(tuple([
+                    (v, into | into_b, out | out_b) if v == a
+                    else (v, into, out)
+                    for v, into, out in table[p] if v != b]))
+            te.append(q)
+        part.extend([te[p] for p in part])
+    return _ClassTable(part, classes, table)
+
+
+def _table_rows(table: _ClassTable,
+                j: int) -> Iterator[tuple[int, int, int, int]]:
+    """The degree-j edge-mask rows read from a class table, in the order
+    of ``edge_mask_rows(g)[j]``."""
+    m = len(table.part).bit_length() - 1
+    part, ports = table.part, table.ports
+    return ((sigma, v, into & ~out, out & ~into)
+            for sigma in (subset_masks(m, j - 1) if j else ())
+            for v, into, out in ports[part[sigma]])
 
 
 def rank_sequence(g: Graph) -> tuple[int, ...]:

@@ -2,17 +2,27 @@
 runnable per graph and over the whole small-multigraph corpus.
 
 Orientation-invariance trials re-run the full pipeline on re-oriented
-copies.  Each copy's relation rows come from a class walk of its own, held
-as edge masks: row (sigma, v) keeps the mask of the edges outside sigma that
-enter v's class in X/sigma (plus) and of those that leave it (minus).
-Reversing the edges of a flip set F moves exactly those edges between the
-two masks, so a faithful rebuild of each row is plus & ~F | minus & F,
-minus & ~F | plus & F under the same label.  That is the reference entry at
-column sigma | e negated exactly when e is in F: the rebuilt matrix is R M D
+copies.  Each copy's relation rows are held in a class table of its own,
+built from the copy alone: a partition id for every edge mask, and for each
+distinct partition the classes of its image vertices with the masks of the
+edges whose head (into) and whose tail (out) lie in each class.  Row
+(sigma, v) keeps the edges outside sigma that enter v's class in X/sigma
+(plus = into & ~out) and those that leave it (minus = out & ~into).
+Reversing the edges of a flip set F keeps every partition and moves exactly
+the edges of F between into and out, so a faithful copy has the reference
+partition ids and classes and the ports into & ~F | out & F,
+out & ~F | into & F.  Its rows are then plus & ~F | minus & F,
+minus & ~F | plus & F under the same labels: the reference entry at column
+sigma | e negated exactly when e is in F, so the rebuilt matrix is R M D
 for +-1 diagonals R and D (the parities of F on each row's sigma and each
 column's subset) and has the reference rank, which was computed by exact
-elimination.  A degree whose rows fail the rule is expanded to its matrix
-and ranked by exact elimination itself.
+elimination.  A copy whose table fails the rule is expanded degree by
+degree; a degree whose rows are not a flipped copy of the reference rows is
+ranked by exact elimination itself.
+
+The reference table is checked once per graph, before any trial, against
+the rows of the level walk that ``rank_sequence`` ranks; two walks that
+disagree raise ``CheckError`` naming the graph and the "class table" stage.
 
 Re-orienting keeps the maximal forest and the chords, and each basic flow
 becomes s_c D beta_c, with D the +-1 diagonal of the flips and s_c = -1
@@ -26,19 +36,21 @@ anywhere.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb
 
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           verify_inequalities)
-from .errors import CheckError, InputError
+from .errors import CheckError, InputError, check_failed
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
-from .relations import (edge_mask_rows, expand_mask_rows,
+from .relations import (_ClassTable, _class_table, _table_rows,
+                        edge_mask_rows, expand_mask_rows,
                         integral_circulations, rank_sequence, torsion_check)
 from .report import CheckReport
 from .tutte import complexity, poincare
@@ -51,7 +63,7 @@ def trimmed(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_flipped_copy(rows: list[tuple], ref: list[tuple],
+def _is_flipped_copy(rows: list[tuple], ref: Iterable[tuple],
                      flip_mask: int) -> bool:
     """Whether the edge-mask rows ``rows`` are the rows ``ref`` with the
     edges of ``flip_mask`` moved between plus and minus, label for label:
@@ -63,15 +75,36 @@ def _is_flipped_copy(rows: list[tuple], ref: list[tuple],
                     for sigma, v, plus, minus in ref]
 
 
-def _same_rank_sequence(g2: Graph, refs: list[list[tuple]],
-                        ref_d: tuple[int, ...], flip_mask: int) -> bool:
+def _is_flipped_table(table: _ClassTable, ref: _ClassTable,
+                      flip_mask: int) -> bool:
+    """Whether ``table`` is the class table ``ref`` with the edges of
+    ``flip_mask`` moved between the two port masks of every class: the
+    same partition of every mask and the same classes, so that each of its
+    edge-mask rows is the flipped reference row under the same label."""
+    keep = ~flip_mask
+    return (table.part == ref.part and table.classes == ref.classes
+            and table.ports == [
+                tuple([(v, into & keep | out & flip_mask,
+                        out & keep | into & flip_mask)
+                       for v, into, out in ports])
+                for ports in ref.ports])
+
+
+def _same_rank_sequence(g2: Graph, ref: _ClassTable, ref_d: tuple[int, ...],
+                        flip_mask: int) -> bool:
     """Exact check that the re-oriented graph has the rank sequence
-    ``ref_d``: a degree whose rows are a flipped copy of the reference rows
-    has their rank, and any other degree is expanded and ranked by exact
+    ``ref_d``.  A class table that is a flipped copy of the reference table
+    gives flipped copies of the reference rows at every degree.  Otherwise
+    each degree is expanded: rows that are a flipped copy of the reference
+    rows have their rank, and any other degree is ranked by exact
     elimination."""
+    table = _class_table(g2)
+    if _is_flipped_table(table, ref, flip_mask):
+        return True
     m = g2.num_edges
-    for j, (rows, ref) in enumerate(zip(edge_mask_rows(g2), refs)):
-        if (not _is_flipped_copy(rows, ref, flip_mask)
+    for j in range(m + 1):
+        rows = list(_table_rows(table, j))
+        if (not _is_flipped_copy(rows, _table_rows(ref, j), flip_mask)
                 and rank_int_rows(expand_mask_rows(m, j, rows).rows)
                 != comb(m, j) - ref_d[j]):
             return False
@@ -257,7 +290,14 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     ref_d = rank_sequence(g)
     ref_lat = lattice(g)
     ref_theta = None  # computed only if a Gram fails the sign rule
-    refs = edge_mask_rows(g)
+    ref = _class_table(g)
+    # the table and the level walk that rank_sequence ranks cross-check
+    # each other; the flat rows are dropped once compared
+    for j, rows in enumerate(edge_mask_rows(g)):
+        if list(_table_rows(ref, j)) != rows:
+            raise check_failed(g, "class table",
+                               f"the degree-{j} rows of the class table "
+                               f"differ from those of the level walk")
     rng = random.Random(seed)
     ids = list(g.edge_ids)
     checked = set()
@@ -269,7 +309,7 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
         checked.add(g2)
         if trimmed(poincare(g2)) != ref_p:
             return False
-        if not _same_rank_sequence(g2, refs, ref_d, g.mask_of(flip)):
+        if not _same_rank_sequence(g2, ref, ref_d, g.mask_of(flip)):
             return False
         lat2 = lattice(g2)
         if lat2.determinant != ref_lat.determinant:

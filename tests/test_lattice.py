@@ -12,9 +12,9 @@ from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
                            dipole_graph, path_graph)
 from flowalg.lattice import (characteristic_flow, codichromatic_compare,
                              coset_system, flows_of_norm, lattice,
-                             norm_identity_check, theta_enumerate,
-                             theta_product)
+                             theta_enumerate, theta_product)
 from flowalg.series import QSeries
+from flowalg.tutte import complexity
 
 F = Fraction
 # the package re-exports the function ``lattice`` under the module's name
@@ -66,10 +66,14 @@ def test_potential_reproduces_flow():
 
 
 def test_norm_identity():
-    for n in (2, 3, 5):
-        assert norm_identity_check(cycle_graph(n), 1)
-    assert norm_identity_check(complete_graph(4), 3)
-    assert norm_identity_check(bouquet_graph(2), 1)
+    # <chi, chi> = kappa(X) / kappa(X minus e): n / 1 on an n-cycle, 16 / 8
+    # on K4 and 1 / 1 on a loop
+    cases = [(cycle_graph(2), 1, 2), (cycle_graph(3), 1, 3),
+             (cycle_graph(5), 1, 5), (complete_graph(4), 3, 2),
+             (bouquet_graph(2), 1, 1)]
+    for g, eid, norm in cases:
+        kappa = Fraction(complexity(g), complexity(g.delete([eid])))
+        assert characteristic_flow(g, eid).norm == kappa == norm
 
 
 def test_lattice_examples():

@@ -12,9 +12,10 @@ from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, nilpotence)
 from flowalg.corpus import connected_multigraphs
 from flowalg.graph import build, complete_graph, cycle_graph
-from flowalg.relations import (edge_mask_rows, expand_mask_rows,
-                               relation_matrix)
-from flowalg.verify import _is_flipped_copy, multiplication_rank_check
+from flowalg.relations import (_class_table, _table_rows, edge_mask_rows,
+                               expand_mask_rows, relation_matrix)
+from flowalg.verify import (_is_flipped_copy, _is_flipped_table,
+                            multiplication_rank_check)
 
 RINGS = [QQ, ZZ, GF(2), GF(3), GF(5)]
 
@@ -259,3 +260,46 @@ def test_flipped_copy_test_needs_the_true_flip_mask(ends, flip_mask, pick):
     # degree 1 has the rows of X itself, where every non-loop edge has an
     # entry
     assert not _is_flipped_copy(rebuilt[1], refs[1], wrong)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_ends)
+def test_class_table_expands_to_the_edge_mask_rows(ends):
+    g = _numbered(ends)
+    m = g.num_edges
+    table = _class_table(g)
+    assert len(table.part) == 1 << m
+    assert len(set(table.classes)) == len(table.classes) == len(table.ports)
+    assert [list(_table_rows(table, j)) for j in range(m + 1)] == \
+        edge_mask_rows(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_ends, st.integers(min_value=0, max_value=63),
+       st.integers(min_value=0, max_value=5))
+def test_flipped_table_test_needs_the_true_flip_mask(ends, flip_mask, pick):
+    g = _numbered(ends)
+    non_loops = [i for i, (_, t, h) in enumerate(g.edges) if t != h]
+    assume(non_loops)
+    flip_mask &= (1 << g.num_edges) - 1
+    edge = non_loops[pick % len(non_loops)]
+    wrong = flip_mask ^ 1 << edge
+    ref = _class_table(g)
+    table = _class_table(g.reorient(g.ids_of(flip_mask)))
+    # the one-edge mask of a non-loop edge read with the classes of the
+    # empty mask: the same classes and ports, one mask moved.  Its rows are
+    # those of degree 2, which an edge alone in the graph does not have.
+    moved = table._replace(part=[0 if sigma == 1 << edge else p
+                                 for sigma, p in enumerate(table.part)])
+
+    def rows_flipped(t, mask):
+        return all(_is_flipped_copy(list(_table_rows(t, j)),
+                                    _table_rows(ref, j), mask)
+                   for j in range(g.num_edges + 1))
+
+    assert _is_flipped_table(table, ref, flip_mask)
+    assert not _is_flipped_table(table, ref, wrong)
+    assert not _is_flipped_table(moved, ref, flip_mask)
+    assert rows_flipped(table, flip_mask)
+    assert not rows_flipped(table, wrong)
+    assert rows_flipped(moved, flip_mask) == (g.num_edges == 1)

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowalg.circulation import ZZ, Circulation, subset_masks
+from flowalg.corpus import connected_multigraphs
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
                            cycle_graph, path_graph)
 from flowalg.linalg import det_int, rank_int_rows, smith_normal_form
-from flowalg.relations import (RelationMatrix, integral_circulations,
-                               product_torsion, rank_sequence,
-                               relation_matrix, torsion_check)
+from flowalg.relations import (RelationMatrix, _class_levels, _class_table,
+                               _table_rows, edge_mask_rows,
+                               integral_circulations, product_torsion,
+                               rank_sequence, relation_matrix, torsion_check)
 
 from conftest import rref, sparse
 
@@ -60,20 +62,37 @@ def test_relation_matrix_matches_contraction_reference(g):
         assert relation_matrix(g, j) == contraction_reference(g, j)
 
 
-def test_relation_matrix_matches_reference_on_a_mixed_multigraph():
-    # two components, a loop, a parallel pair, isolated vertices, and
-    # vertex ids out of order
-    g = Graph((9, 4, 12, 1, 7, 3, 20),
+# two components, a loop, a parallel pair, isolated vertices, and vertex ids
+# out of order
+MIXED = Graph((9, 4, 12, 1, 7, 3, 20),
               ((5, 9, 4), (2, 4, 9), (8, 4, 12), (1, 12, 9), (6, 12, 12),
                (3, 1, 7), (4, 7, 1)))
-    for j in range(g.num_edges + 1):
-        assert relation_matrix(g, j) == contraction_reference(g, j)
+
+
+def test_relation_matrix_matches_reference_on_a_mixed_multigraph():
+    for j in range(MIXED.num_edges + 1):
+        assert relation_matrix(MIXED, j) == contraction_reference(MIXED, j)
 
 
 def test_relation_matrix_matches_reference_on_corpus5(corpus5):
     for g in corpus5:
         for j in range(g.num_edges + 1):
             assert relation_matrix(g, j) == contraction_reference(g, j)
+
+
+def test_class_table_agrees_with_the_level_walk_on_corpus6():
+    # every mask the level walk reaches has the walk's classes and ports in
+    # the table, and the table's rows are the walk's at every degree
+    for g in [MIXED, *connected_multigraphs(6)]:
+        table = _class_table(g)
+        for level in _class_levels(g):
+            for sigma, (cls, ports) in level.items():
+                p = table.part[sigma]
+                assert table.classes[p] == cls
+                assert table.ports[p] == tuple((v, *masks)
+                                               for v, masks in ports.items())
+        assert [list(_table_rows(table, j))
+                for j in range(g.num_edges + 1)] == edge_mask_rows(g)
 
 
 def test_relation_matrix_degree_zero_is_empty():
@@ -265,3 +284,5 @@ def test_capacity_guard():
         relation_matrix(big, 1)
     with pytest.raises(CapacityError):
         rank_sequence(big)
+    with pytest.raises(CapacityError):
+        _class_table(big)

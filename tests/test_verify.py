@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-from flowalg.errors import InputError
+from flowalg.errors import CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, complete_graph,
                            dipole_graph)
 from flowalg.lattice import FlowLattice
@@ -54,45 +54,74 @@ def test_orientation_invariance_refuses_a_negative_theta_bound():
         orientation_invariance(complete_graph(4), 3, theta_bound=-1)
 
 
+def _patched_copies(monkeypatch, g, change):
+    """Route every re-oriented copy's class table through ``change``; the
+    reference table of ``g`` itself is left as built."""
+    real = verify._class_table
+
+    def patched(h):
+        table = real(h)
+        return table if h.edges == g.edges else change(table)
+
+    monkeypatch.setattr(verify, "_class_table", patched)
+
+
 def test_orientation_invariance_rejects_a_rank_change(monkeypatch):
-    # A pipeline that loses the degree-2 relations on every re-oriented copy
-    # is no flipped copy of the reference rows, so the exact fallback ranks
-    # it and must find the rank change.
+    # A pipeline that loses the ports of the partitions of the one-edge
+    # masks, which hold the degree-2 rows of K4, on every re-oriented copy
+    # is no flipped copy of the reference table, so the exact fallback
+    # ranks it and must find the rank change.
     g = complete_graph(4)
-    real = verify.edge_mask_rows
 
-    def lossy(h):
-        rows = real(h)
-        if h.edges != g.edges:
-            rows[2] = [(sigma, v, 0, 0) for sigma, v, _, _ in rows[2]]
-        return rows
+    def lossy(table):
+        lost = {table.part[1 << i] for i in range(g.num_edges)}
+        return table._replace(ports=[
+            tuple((v, 0, 0) for v, _, _ in ports) if p in lost else ports
+            for p, ports in enumerate(table.ports)])
 
-    monkeypatch.setattr(verify, "edge_mask_rows", lossy)
+    _patched_copies(monkeypatch, g, lossy)
     assert not orientation_invariance(g, trials=5, seed=1)
 
 
 def test_orientation_invariance_ranks_other_forms_exactly(monkeypatch):
-    # Doubling a row keeps the rank but breaks the flipped-copy form, so
-    # each re-oriented copy must pass through exact elimination.
+    # Swapping the two port masks of each partition's first class negates
+    # its rows: the rank stays, but the flipped-copy form breaks, so each
+    # re-oriented copy must pass through exact elimination.
     g = complete_graph(4)
-    real = verify.edge_mask_rows
     real_rank = verify.rank_int_rows
     ranked = []
 
-    def doubled(h):
-        rows = real(h)
-        if h.edges == g.edges:
-            return rows
-        return [level + level[:1] for level in rows]
+    def negated(table):
+        return table._replace(ports=[((v, out, into), *rest)
+                                     for (v, into, out), *rest
+                                     in table.ports])
 
     def spy(rows):
         ranked.append(len(rows))
         return real_rank(rows)
 
-    monkeypatch.setattr(verify, "edge_mask_rows", doubled)
+    _patched_copies(monkeypatch, g, negated)
     monkeypatch.setattr(verify, "rank_int_rows", spy)
     assert orientation_invariance(g, trials=5, seed=1)
     assert ranked
+
+
+def test_class_table_disagreeing_with_the_level_walk_is_an_error(
+        monkeypatch):
+    # The reference table is checked once against the level walk that
+    # rank_sequence ranks; a table that differs names the graph and stage.
+    g = complete_graph(4)
+    real = verify._class_table
+
+    def skewed(h):
+        table = real(h)
+        return table._replace(part=[0] * len(table.part))
+
+    monkeypatch.setattr(verify, "_class_table", skewed)
+    with pytest.raises(CheckError,
+                       match=r"class table check failed on the graph with "
+                             r"edges \[\(1, 1, 2\)"):
+        orientation_invariance(g, trials=5, seed=1)
 
 
 def _spy_theta(monkeypatch):

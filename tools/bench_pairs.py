@@ -33,7 +33,11 @@ The verdict says whether the pairs can tell the two sides apart.  It is
 "unresolved" when the change's median lies inside the parent's
 interquartile range (a move within the parent's own noise) or when either
 side's spread, (q3 - q1) / median, exceeds the metric's ``bound``; else it
-is "better" or "worse" by the metric's ``better`` direction.
+is "better" or "worse" by the metric's ``better`` direction.  Beside the
+verdict, ``move_vs_bound`` gives the move of the median, (change - parent)
+/ parent, as a signed fraction of the metric's ``bound``, positive when the
+change is worse: 1.0 is a move the size of the bound, and a "worse" verdict
+at 0.03 is a move the pairs can see but the bound does not count.
 
 Run from a checkout; the change is its ``HEAD``:
 
@@ -140,9 +144,19 @@ def verdict(parent: dict, change: dict, spec: dict) -> str:
     return "better" if higher == (spec["better"] == "higher") else "worse"
 
 
+def move_vs_bound(parent: dict, change: dict, spec: dict) -> float | None:
+    """The median move as a signed fraction of the metric's bound,
+    positive when the change is worse (see the module docstring)."""
+    if not parent["median"]:
+        return None
+    move = (change["median"] - parent["median"]) / parent["median"]
+    return (-move if spec["better"] == "higher" else move) / spec["bound"]
+
+
 def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: both sides' values and summaries, the median ratio,
-    the number of pairs the change won and the verdict."""
+    the number of pairs the change won, the verdict and the move against
+    the bound."""
     out = {}
     for spec in metrics:
         name = spec["name"]
@@ -161,6 +175,7 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
             "within_parent_iqr": (parent["q1"] <= change["median"]
                                   <= parent["q3"]),
             "verdict": verdict(parent, change, spec),
+            "move_vs_bound": move_vs_bound(parent, change, spec),
             "pairs_won": won, "pairs": len(pairs)}
     return out
 
@@ -222,9 +237,11 @@ def main() -> int:
                                    for s in ("parent", "change")),
                 "metrics": metrics}
             for name, m in metrics.items():
+                move = m["move_vs_bound"]
+                move = "n/a" if move is None else f"{move:+.3f}"
                 print(f"{workload} {name}: {m['parent']['median']:.4g} -> "
-                      f"{m['change']['median']:.4g}, {m['verdict']}",
-                      file=sys.stderr, flush=True)
+                      f"{m['change']['median']:.4g}, {m['verdict']}, "
+                      f"move/bound {move}", file=sys.stderr, flush=True)
     path = ROOT / f"BENCH_{a.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
