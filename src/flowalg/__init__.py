@@ -9,8 +9,8 @@ from .circulation import (Circulation, GF, QQ, Ring, ZZ, divided_power,
                           verify_inequalities)
 from .errors import (CapacityError, CheckError, FlowAlgError, InfeasibleError,
                      InputError)
-from .graph import (Graph, ContractionImage, build, bouquet_graph,
-                    complete_graph, cycle_graph, dipole_graph, disjoint_union,
+from .graph import (Graph, build, bouquet_graph, complete_graph,
+                    cycle_graph, dipole_graph, disjoint_union,
                     one_point_union, path_graph)
 from .lattice import (CharacteristicFlow, CosetSystem, FlowLattice,
                       characteristic_flow, codichromatic_compare,
@@ -25,15 +25,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly", "CapacityError", "CharacteristicFlow", "CheckError",
-    "Circulation", "ContractionImage", "CosetSystem", "FlowAlgError",
-    "FlowLattice", "GF", "Graph", "InfeasibleError", "InputError", "QQ",
-    "QSeries", "RelationMatrix", "Ring", "ZZ", "bouquet_graph", "build",
-    "characteristic_flow", "codichromatic_compare", "complete_graph",
-    "complexity", "coset_system", "cycle_graph", "dipole_graph",
-    "disjoint_union", "divided_power", "exponential", "flows_of_norm",
-    "integral_circulations", "lattice", "monomial_dimensions", "nilpotence",
-    "one_point_union", "path_graph", "poincare", "product_torsion",
-    "pseudopower", "psi_series", "rank_sequence", "relation_matrix",
-    "relation_membership_check", "theta_enumerate", "theta_product",
-    "torsion_check", "tutte", "verify_inequalities",
+    "Circulation", "CosetSystem", "FlowAlgError", "FlowLattice", "GF", "Graph",
+    "InfeasibleError", "InputError", "QQ", "QSeries", "RelationMatrix", "Ring",
+    "ZZ", "bouquet_graph", "build", "characteristic_flow",
+    "codichromatic_compare", "complete_graph", "complexity", "coset_system",
+    "cycle_graph", "dipole_graph", "disjoint_union", "divided_power",
+    "exponential", "flows_of_norm", "integral_circulations", "lattice",
+    "monomial_dimensions", "nilpotence", "one_point_union", "path_graph",
+    "poincare", "product_torsion", "pseudopower", "psi_series",
+    "rank_sequence", "relation_matrix", "relation_membership_check",
+    "theta_enumerate", "theta_product", "torsion_check", "tutte",
+    "verify_inequalities",
 ]

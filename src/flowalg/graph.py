@@ -83,10 +83,6 @@ class Graph:
         except KeyError:
             raise InputError(f"unknown edge id {eid}") from None
 
-    def is_loop(self, eid: int) -> bool:
-        _, tail, head = self.edge(eid)
-        return tail == head
-
     @cached_property
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> list of (edge id, other endpoint); loops appear once."""
@@ -104,9 +100,6 @@ class Graph:
         for eid in edge_ids:
             mask |= 1 << self.position(eid)
         return mask
-
-    def ids_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(e[0] for i, e in enumerate(self.edges) if mask >> i & 1)
 
     def _check_subset(self, sigma: Iterable[int]) -> frozenset[int]:
         sigma = frozenset(sigma)
@@ -132,7 +125,7 @@ class Graph:
         return Graph._derived(self.vertices,
                               tuple(e for e in self.edges if e[0] not in sigma))
 
-    def contract(self, sigma: Iterable[int]) -> "ContractionImage":
+    def contract(self, sigma: Iterable[int]) -> "Graph":
         """Collapse every edge of sigma to a point.
 
         Vertices of the image are the connected components of the spanning
@@ -147,8 +140,7 @@ class Graph:
         new_vertices = tuple(sorted(set(comp.values())))
         new_edges = tuple((eid, comp[t], comp[h])
                           for eid, t, h in self.edges if eid not in sigma)
-        return ContractionImage._of(Graph._derived(new_vertices, new_edges),
-                                    comp)
+        return Graph._derived(new_vertices, new_edges)
 
     def is_cut_edge(self, eid: int) -> bool:
         """True iff deleting the edge increases the component count.
@@ -318,27 +310,6 @@ class Graph:
             self.vertices,
             tuple((eid, head, tail) if eid in flip else (eid, tail, head)
                   for eid, tail, head in self.edges))
-
-
-@dataclass(frozen=True)
-class ContractionImage:
-    """Result of contracting an edge subset: the image graph and the
-    quotient map on vertices."""
-    graph: Graph
-    vertex_map: dict[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
-
-    @classmethod
-    def _of(cls, graph: Graph, vertex_map: dict[int, int]
-            ) -> "ContractionImage":
-        """Wrap a quotient map the caller has just built and no one else
-        holds, without copying it."""
-        image = object.__new__(cls)
-        object.__setattr__(image, "graph", graph)
-        object.__setattr__(image, "vertex_map", vertex_map)
-        return image
 
 
 # -- internal helpers ----------------------------------------------------

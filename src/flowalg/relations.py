@@ -4,27 +4,26 @@ lattices, and product-quotient groups.
 
 This is the definition-level oracle: each degree-j relation matrix holds,
 for every (j-1)-subset sigma of edges, one signed conservation row per vertex
-of the contraction X/sigma, exactly as the definition states.  The image
-vertices come from one walk over the edge masks, level by level: the
-classes of each mask are those of the mask one edge smaller, joined across
-that edge, not a contracted graph per subset.  Each class carries the masks
-of the edges with their head and with their tail in it, so a row is held as
+of the contraction X/sigma, exactly as the definition states.  The vertices
+of X/sigma are the classes of the partition that sigma's components make,
+which depends on the undirected graph alone, and a graph has far fewer
+partitions than masks.  So ``_class_table`` holds them once: a partition id
+per mask, and per distinct partition its labels and, for each class, the
+masks of the edges with their head and with their tail in it.  It is built
+edge by edge, each step joining every partition seen so far across the next
+edge once, not a contracted graph per subset.  A row is held as
 (sigma, v, plus, minus), the edge masks of its +1 and -1 entries; an edge e
-owns the column sigma | e.  ``relation_matrix`` walks to one level and
-expands its rows to sparse (subset mask, +-1) rows; ``edge_mask_rows`` gives
-the rows of every degree from one walk.  Ranks of these matrices give the
-rank sequence independently of the Tutte route.
+owns the column sigma | e.  ``relation_matrix`` reads the rows of one
+degree from the table and expands them to sparse (subset mask, +-1) rows.
+Ranks of these matrices give the rank sequence independently of the Tutte
+route.
 
-The classes of X/sigma depend on the undirected graph alone, and a graph has
-far fewer partitions than masks, so ``_class_table`` holds them once: a
-partition id per mask, and per distinct partition its labels and the port
-masks of its classes.  It is built edge by edge, each step joining every
-partition seen so far across the next edge once.  Re-orienting a set F of
-edges keeps the partitions and moves the edges of F between the two port
-masks of each class, which is what the orientation trials of ``verify``
-compare.  The table and the level walk of ``relation_matrix`` are two
-walks to the same rows, and those trials check one against the other on
-every graph before they read the table.
+The table of the last graph asked for is kept, so the degrees of one graph
+(``rank_sequence``, ``torsion_check``, ``integral_circulations``) share one
+table.  Re-orienting a set F of edges keeps the partitions and moves the
+edges of F between the two port masks of each class, which is what the
+orientation trials of ``verify`` compare; a re-oriented copy is another
+graph, so its table is built from the copy alone.
 
 A degree-j column is named by its j-subset mask everywhere, from the
 relation rows through the kernels to the circulation tables, as in the
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -67,29 +66,15 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
     """Degree-j relation matrix: for each (j-1)-subset sigma, the
     conservation row of every vertex of the contraction X/sigma.
 
-    The class walk stops at level j - 1, whose edge-mask rows are expanded
-    to sparse (subset mask, +-1) rows.  Rows follow ascending sigma, then
-    ascending image vertex.
+    The edge-mask rows of degree j are read from the class table and
+    expanded to sparse (subset mask, +-1) rows.  Rows follow ascending
+    sigma, then ascending image vertex.
     """
     m = g.num_edges
     require_capacity(m)
     if not 0 <= j <= m:
         raise InputError(f"degree {j} out of range 0..{m}")
-    if j == 0:
-        return expand_mask_rows(m, 0, [])
-    level = next(islice(_class_levels(g), j - 1, None))
-    return expand_mask_rows(m, j, _level_rows(level))
-
-
-def edge_mask_rows(g: Graph) -> list[list[tuple[int, int, int, int]]]:
-    """The edge-mask rows of every degree 0..m, from one class walk: row
-    (sigma, v, plus, minus) of degree j has a (j-1)-subset sigma, an image
-    vertex v of X/sigma, and the masks of the edges outside sigma that enter
-    and leave v's class."""
-    m = g.num_edges
-    require_capacity(m)
-    return [[], *(list(_level_rows(level))
-                  for level in islice(_class_levels(g), m))]
+    return expand_mask_rows(m, j, _table_rows(_class_table(g), j))
 
 
 def expand_mask_rows(m: int, j: int,
@@ -115,83 +100,37 @@ def expand_mask_rows(m: int, j: int,
     return RelationMatrix(j, subset_masks(m, j), tuple(out), tuple(labels))
 
 
-def _vertex_ports(g: Graph) -> tuple[list[tuple[int, int]], dict]:
-    """The ends of each edge as vertex positions (tail, head), and a dict
-    from each vertex, ascending, to the masks of the edges with their head
-    and with their tail at it: the classes of the empty mask."""
-    at = {v: i for i, v in enumerate(g.vertices)}
-    ports = {v: (0, 0) for v in sorted(g.vertices)}
-    for i, (_, t, h) in enumerate(g.edges):
-        into, out = ports[h]
-        ports[h] = into | 1 << i, out
-        into, out = ports[t]
-        ports[t] = into, out | 1 << i
-    return [(at[t], at[h]) for _, t, h in g.edges], ports
-
-
-def _class_levels(g: Graph) -> Iterator[dict]:
-    """Yield the levels k = 0, 1, ... (up to m - 1) of the class walk:
-    dicts from each k-edge mask sigma, ascending, to (cls, ports).  cls[i]
-    is the image of the i-th vertex in X/sigma; ports maps each image
-    vertex, ascending, to the masks of the edges with their head and with
-    their tail in its class.
-
-    The classes of sigma are those of sigma minus its lowest edge, joined
-    across that edge and named by their minimum vertex id; a joined class
-    takes the union of both port masks."""
-    ends, ports = _vertex_ports(g)
-    m = len(ends)
-    level = {0: (g.vertices, ports)}
-    yield level
-    for k in range(1, m):
-        prev, level = level, {}
-        for sigma in subset_masks(m, k):
-            low = sigma & -sigma
-            cls, ports = prev[sigma ^ low]
-            t, h = ends[low.bit_length() - 1]
-            a, b = cls[t], cls[h]
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                cls = tuple([a if c == b else c for c in cls])
-                ports = ports.copy()
-                (into_a, out_a), (into_b, out_b) = ports[a], ports.pop(b)
-                ports[a] = into_a | into_b, out_a | out_b
-            level[sigma] = cls, ports
-        del prev  # a caller that holds this level keeps no other alive
-        yield level
-
-
-def _level_rows(level) -> Iterator[tuple[int, int, int, int]]:
-    """The edge-mask rows of degree k + 1 from the classes of level k.  An
-    edge with both ends in v's class (a loop of X/sigma, every edge of sigma
-    among them) is in both port masks and so in neither plus nor minus."""
-    return ((sigma, v, into & ~out, out & ~into)
-            for sigma, (_, ports) in level.items()
-            for v, (into, out) in ports.items())
-
-
 class _ClassTable(NamedTuple):
     """The classes of every edge mask, held once per distinct partition.
     ``part[sigma]`` is the partition id of mask sigma; ``classes[p]`` has
-    the image label of each vertex, the least vertex id of its class, as
-    ``_class_levels`` names them; ``ports[p]`` has one (v, into, out) per
-    image vertex v, ascending, with the masks of the edges whose head and
-    whose tail lie in v's class."""
+    the image label of each vertex, the least vertex id of its class;
+    ``ports[p]`` has one (v, into, out) per image vertex v, ascending, with
+    the masks of the edges whose head and whose tail lie in v's class."""
     part: list[int]
     classes: list[tuple[int, ...]]
     ports: list[tuple[tuple[int, int, int], ...]]
 
 
+@lru_cache(maxsize=1)
 def _class_table(g: Graph) -> _ClassTable:
     """The class table of g, built edge by edge: the masks whose highest
     edge is e are the masks below 2^e joined across e, so each step joins
     every partition seen so far once and extends ``part`` through that
-    join.  A joined class takes the union of both port masks."""
+    join.  A joined class takes the union of both port masks.
+
+    The table of the last graph is kept and handed to every caller that
+    asks for the same graph, so no caller may mutate it; a changed table
+    is made with ``_replace``."""
     require_capacity(g.num_edges)
-    ends, ports = _vertex_ports(g)
+    at = {v: i for i, v in enumerate(g.vertices)}
+    into = dict.fromkeys(sorted(g.vertices), 0)
+    out = into.copy()
+    for i, (_, t, h) in enumerate(g.edges):
+        into[h] |= 1 << i
+        out[t] |= 1 << i
+    ends = [(at[t], at[h]) for _, t, h in g.edges]
     classes = [g.vertices]
-    table = [tuple([(v, into, out) for v, (into, out) in ports.items()])]
+    table = [tuple([(v, into[v], out[v]) for v in into])]
     index = {g.vertices: 0}
     part = [0]
     for t, h in ends:
@@ -223,8 +162,12 @@ def _class_table(g: Graph) -> _ClassTable:
 
 def _table_rows(table: _ClassTable,
                 j: int) -> Iterator[tuple[int, int, int, int]]:
-    """The degree-j edge-mask rows read from a class table, in the order
-    of ``edge_mask_rows(g)[j]``."""
+    """The degree-j edge-mask rows read from a class table: row
+    (sigma, v, plus, minus) has a (j-1)-subset sigma, ascending, an image
+    vertex v of X/sigma, ascending, and the masks of the edges outside
+    sigma that enter and leave v's class.  An edge with both ends in v's
+    class (a loop of X/sigma, every edge of sigma among them) is in both
+    port masks and so in neither plus nor minus."""
     m = len(table.part).bit_length() - 1
     part, ports = table.part, table.ports
     return ((sigma, v, into & ~out, out & ~into)

@@ -140,7 +140,7 @@ def _split(g: Graph) -> BiPoly:
     id; the block is known to be one, so it is not searched again."""
     pivot = min(g.edge_ids)
     deleted = g.delete([pivot])
-    contracted = g.contract([pivot]).graph
+    contracted = g.contract([pivot])
     return (_tutte_rec(deleted, _normal_form(deleted))
             + _tutte_rec(contracted, _normal_form(contracted)))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
 from flowalg.graph import Graph, _components, build
+from flowalg.relations import _class_table, _table_rows
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 
@@ -98,6 +99,24 @@ def reference_hermite_rows(rows):
         if r == len(m):
             break
     return [row for row in m if any(row)]
+
+
+def ids_of(g, mask):
+    """The ids of the edges of ``g`` at the set bits of ``mask``, in edge
+    list order."""
+    return tuple(eid for i, (eid, _, _) in enumerate(g.edges) if mask >> i & 1)
+
+
+def is_loop(g, eid):
+    _, tail, head = g.edge(eid)
+    return tail == head
+
+
+def mask_rows(g):
+    """The edge-mask rows (sigma, v, plus, minus) of every degree of ``g``,
+    read from its class table."""
+    table = _class_table(g)
+    return [list(_table_rows(table, j)) for j in range(g.num_edges + 1)]
 
 
 def reference_is_cut_edge(g, eid):

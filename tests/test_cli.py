@@ -12,6 +12,8 @@ import flowalg.verify as verify
 from flowalg.cli import main, parse_graph
 from flowalg.errors import InputError
 
+from conftest import is_loop
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -30,7 +32,7 @@ def test_parse_graph_basic(tmp_path):
 def test_parse_graph_loop(tmp_path):
     path = tmp_path / "g.g"
     path.write_text("vertex 1\nedge 1 1 1\n")
-    assert parse_graph(str(path)).is_loop(1)
+    assert is_loop(parse_graph(str(path)), 1)
 
 
 def test_parse_graph_duplicate_edge_id(tmp_path):

@@ -12,10 +12,11 @@ from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
                                  exponential, nilpotence)
 from flowalg.corpus import connected_multigraphs
 from flowalg.graph import build, complete_graph, cycle_graph
-from flowalg.relations import (_class_table, _table_rows, edge_mask_rows,
-                               expand_mask_rows, relation_matrix)
+from flowalg.relations import _class_table, _table_rows, relation_matrix
 from flowalg.verify import (_is_flipped_copy, _is_flipped_table,
                             multiplication_rank_check)
+
+from conftest import ids_of, mask_rows
 
 RINGS = [QQ, ZZ, GF(2), GF(3), GF(5)]
 
@@ -143,8 +144,8 @@ def test_contraction_commutes(corpus5, corpus7):
         for sig_idx, rho_idx in _disjoint_splits(len(ids), rng, limit):
             sigma = [ids[i] for i in sig_idx]
             rho = [ids[i] for i in rho_idx]
-            direct = g.contract(sigma + rho).graph
-            stepwise = g.contract(sigma).graph.contract(rho).graph
+            direct = g.contract(sigma + rho)
+            stepwise = g.contract(sigma).contract(rho)
             assert direct == stepwise
 
 
@@ -219,8 +220,8 @@ def test_reoriented_relation_matrix_is_signed_reference(ends, flip_mask):
     # entry at column c changes sign iff the edge c adds to sigma is flipped.
     g = _numbered(ends)
     flip_mask &= (1 << g.num_edges) - 1
-    g2 = g.reorient(g.ids_of(flip_mask))
-    refs, rebuilt = edge_mask_rows(g), edge_mask_rows(g2)
+    g2 = g.reorient(ids_of(g, flip_mask))
+    refs, rebuilt = mask_rows(g), mask_rows(g2)
     for j in range(g.num_edges + 1):
         ref = relation_matrix(g, j)
         rel = relation_matrix(g2, j)
@@ -234,17 +235,6 @@ def test_reoriented_relation_matrix_is_signed_reference(ends, flip_mask):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph_ends)
-def test_edge_mask_rows_expand_to_the_relation_matrix(ends):
-    g = _numbered(ends)
-    m = g.num_edges
-    rows = edge_mask_rows(g)
-    assert len(rows) == m + 1
-    for j in range(m + 1):
-        assert expand_mask_rows(m, j, rows[j]) == relation_matrix(g, j)
-
-
-@settings(max_examples=60, deadline=None)
 @given(graph_ends, st.integers(min_value=0, max_value=63),
        st.integers(min_value=0, max_value=5))
 def test_flipped_copy_test_needs_the_true_flip_mask(ends, flip_mask, pick):
@@ -253,8 +243,8 @@ def test_flipped_copy_test_needs_the_true_flip_mask(ends, flip_mask, pick):
     assume(non_loops)
     flip_mask &= (1 << g.num_edges) - 1
     wrong = flip_mask ^ 1 << non_loops[pick % len(non_loops)]
-    refs = edge_mask_rows(g)
-    rebuilt = edge_mask_rows(g.reorient(g.ids_of(flip_mask)))
+    refs = mask_rows(g)
+    rebuilt = mask_rows(g.reorient(ids_of(g, flip_mask)))
     assert all(_is_flipped_copy(rows, ref, flip_mask)
                for rows, ref in zip(rebuilt, refs))
     # degree 1 has the rows of X itself, where every non-loop edge has an
@@ -270,8 +260,17 @@ def test_class_table_expands_to_the_edge_mask_rows(ends):
     table = _class_table(g)
     assert len(table.part) == 1 << m
     assert len(set(table.classes)) == len(table.classes) == len(table.ports)
-    assert [list(_table_rows(table, j)) for j in range(m + 1)] == \
-        edge_mask_rows(g)
+    for cls, ports in zip(table.classes, table.ports):
+        # one port entry per class, named by the class's least vertex
+        assert [v for v, _, _ in ports] == sorted(set(cls))
+        assert all(c == min(u for u, d in zip(g.vertices, cls) if d == c)
+                   for c in cls)
+        # every edge has its head in exactly one class and its tail in one
+        for masks in ([into for _, into, _ in ports],
+                      [out for _, _, out in ports]):
+            assert sum(masks) == (1 << m) - 1
+            assert not any(a & b for i, a in enumerate(masks)
+                           for b in masks[i + 1:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,7 +284,7 @@ def test_flipped_table_test_needs_the_true_flip_mask(ends, flip_mask, pick):
     edge = non_loops[pick % len(non_loops)]
     wrong = flip_mask ^ 1 << edge
     ref = _class_table(g)
-    table = _class_table(g.reorient(g.ids_of(flip_mask)))
+    table = _class_table(g.reorient(ids_of(g, flip_mask)))
     # the one-edge mask of a non-loop edge read with the classes of the
     # empty mask: the same classes and ports, one mask moved.  Its rows are
     # those of degree 2, which an edge alone in the graph does not have.

@@ -10,12 +10,11 @@ from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
                            cycle_graph, path_graph)
 from flowalg.linalg import det_int, rank_int_rows, smith_normal_form
-from flowalg.relations import (RelationMatrix, _class_levels, _class_table,
-                               _table_rows, edge_mask_rows,
+from flowalg.relations import (RelationMatrix, _class_table,
                                integral_circulations, product_torsion,
                                rank_sequence, relation_matrix, torsion_check)
 
-from conftest import rref, sparse
+from conftest import ids_of, rref, sparse
 
 
 def contraction_reference(g, j):
@@ -26,7 +25,7 @@ def contraction_reference(g, j):
     rows = []
     labels = []
     for sigma in subset_masks(m, j - 1) if j >= 1 else []:
-        image = g.contract(g.ids_of(sigma)).graph
+        image = g.contract(ids_of(g, sigma))
         incident = {v: [] for v in image.vertices}
         for eid, tail, head in image.edges:
             if tail == head:
@@ -74,25 +73,19 @@ def test_relation_matrix_matches_reference_on_a_mixed_multigraph():
         assert relation_matrix(MIXED, j) == contraction_reference(MIXED, j)
 
 
-def test_relation_matrix_matches_reference_on_corpus5(corpus5):
-    for g in corpus5:
+def test_relation_matrix_matches_reference_on_corpus6():
+    for g in [MIXED, *connected_multigraphs(6)]:
         for j in range(g.num_edges + 1):
             assert relation_matrix(g, j) == contraction_reference(g, j)
 
 
-def test_class_table_agrees_with_the_level_walk_on_corpus6():
-    # every mask the level walk reaches has the walk's classes and ports in
-    # the table, and the table's rows are the walk's at every degree
-    for g in [MIXED, *connected_multigraphs(6)]:
-        table = _class_table(g)
-        for level in _class_levels(g):
-            for sigma, (cls, ports) in level.items():
-                p = table.part[sigma]
-                assert table.classes[p] == cls
-                assert table.ports[p] == tuple((v, *masks)
-                                               for v, masks in ports.items())
-        assert [list(_table_rows(table, j))
-                for j in range(g.num_edges + 1)] == edge_mask_rows(g)
+def test_the_degrees_of_a_graph_share_one_class_table():
+    g = complete_graph(4)
+    _class_table.cache_clear()
+    rank_sequence(g)
+    for j in range(g.num_edges + 1):
+        torsion_check(g, j)
+    assert _class_table.cache_info().misses == 1
 
 
 def test_relation_matrix_degree_zero_is_empty():
@@ -271,7 +264,7 @@ def test_rank_additivity_on_relation_route():
                     assert d[j] == deleted[j]
                 continue
             deleted = rank_sequence(g.delete([eid]))
-            contracted = rank_sequence(g.contract([eid]).graph)
+            contracted = rank_sequence(g.contract([eid]))
             for j in range(g.num_edges + 1):
                 dj_del = deleted[j] if j < len(deleted) else 0
                 dj_con = contracted[j - 1] if 1 <= j <= len(contracted) else 0

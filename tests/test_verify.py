@@ -2,12 +2,13 @@ import importlib
 
 import pytest
 
-from flowalg.errors import CheckError, InputError
+from flowalg.errors import InputError
 from flowalg.graph import (Graph, bouquet_graph, complete_graph,
                            dipole_graph)
 from flowalg.lattice import FlowLattice
-from flowalg.relations import edge_mask_rows
 from flowalg.verify import _is_flipped_copy, orientation_invariance
+
+from conftest import ids_of, mask_rows
 
 lattice_mod = importlib.import_module("flowalg.lattice")
 verify = importlib.import_module("flowalg.verify")
@@ -19,8 +20,8 @@ MIXED = Graph((1, 2, 3), ((1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 3, 1),
 
 def test_signed_copy_rejects_one_wrong_sign():
     flip_mask = 0b01010
-    refs = edge_mask_rows(MIXED)
-    rebuilt = edge_mask_rows(MIXED.reorient(MIXED.ids_of(flip_mask)))
+    refs = mask_rows(MIXED)
+    rebuilt = mask_rows(MIXED.reorient(ids_of(MIXED, flip_mask)))
     for j in range(1, MIXED.num_edges):
         ref, rows = refs[j], rebuilt[j]
         i = next(i for i, (_, _, plus, minus) in enumerate(rows)
@@ -34,8 +35,8 @@ def test_signed_copy_rejects_one_wrong_sign():
 
 def test_signed_copy_rejects_swapped_row_labels():
     flip_mask = 0b00110
-    refs = edge_mask_rows(MIXED)
-    rebuilt = edge_mask_rows(MIXED.reorient(MIXED.ids_of(flip_mask)))
+    refs = mask_rows(MIXED)
+    rebuilt = mask_rows(MIXED.reorient(ids_of(MIXED, flip_mask)))
     for j in range(1, MIXED.num_edges + 1):
         ref, rows = refs[j], rebuilt[j]
         (s0, v0, *masks0), (s1, v1, *masks1) = rows[0], rows[-1]
@@ -104,24 +105,6 @@ def test_orientation_invariance_ranks_other_forms_exactly(monkeypatch):
     monkeypatch.setattr(verify, "rank_int_rows", spy)
     assert orientation_invariance(g, trials=5, seed=1)
     assert ranked
-
-
-def test_class_table_disagreeing_with_the_level_walk_is_an_error(
-        monkeypatch):
-    # The reference table is checked once against the level walk that
-    # rank_sequence ranks; a table that differs names the graph and stage.
-    g = complete_graph(4)
-    real = verify._class_table
-
-    def skewed(h):
-        table = real(h)
-        return table._replace(part=[0] * len(table.part))
-
-    monkeypatch.setattr(verify, "_class_table", skewed)
-    with pytest.raises(CheckError,
-                       match=r"class table check failed on the graph with "
-                             r"edges \[\(1, 1, 2\)"):
-        orientation_invariance(g, trials=5, seed=1)
 
 
 def _spy_theta(monkeypatch):
