@@ -9,21 +9,28 @@ of X/sigma are the classes of the partition that sigma's components make,
 which depends on the undirected graph alone, and a graph has far fewer
 partitions than masks.  So ``_class_table`` holds them once: a partition id
 per mask, and per distinct partition its labels and, for each class, the
-masks of the edges with their head and with their tail in it.  It is built
-edge by edge, each step joining every partition seen so far across the next
-edge once, not a contracted graph per subset.  A row is held as
-(sigma, v, plus, minus), the edge masks of its +1 and -1 entries; an edge e
-owns the column sigma | e.  ``relation_matrix`` reads the rows of one
-degree from the table and expands them to sparse (subset mask, +-1) rows.
-Ranks of these matrices give the rank sequence independently of the Tutte
-route.
+masks of the edges with their head (into) and with their tail (out) in it.
+It is built edge by edge, each step joining every partition seen so far
+across the next edge once, not a contracted graph per subset.  A row is held
+as (sigma, v, plus, minus), the edge masks of its +1 and -1 entries: the
+edges outside sigma that enter v's class (plus = into & ~out) and that leave
+it (minus = out & ~into).  An edge e owns the column sigma | e.
+``relation_matrix`` reads the rows of one degree from the table and expands
+them to sparse (subset mask, +-1) rows.  Ranks of these matrices give the
+rank sequence independently of the Tutte route.
 
 The table of the last graph asked for is kept, so the degrees of one graph
 (``rank_sequence``, ``torsion_check``, ``integral_circulations``) share one
-table.  Re-orienting a set F of edges keeps the partitions and moves the
-edges of F between the two port masks of each class, which is what the
-orientation trials of ``verify`` compare; a re-oriented copy is another
-graph, so its table is built from the copy alone.
+table.  A re-oriented copy is another graph, so its table is built from the
+copy alone.  The sign rule (``_is_flipped_table``): reversing a set F of
+edges keeps every partition and moves exactly the edges of F between the two
+port masks, so a faithful copy's table has the reference partition ids and
+classes and the ports into & ~F | out & F, out & ~F | into & F.  Its rows
+are then plus & ~F | minus & F, minus & ~F | plus & F under the same labels:
+the reference entry at column sigma | e negated exactly when e is in F.  So
+each relation matrix of the copy is R M D for +-1 diagonals R and D (the
+parities of F on each row's sigma and each column's subset) and has the
+reference rank.
 
 A degree-j column is named by its j-subset mask everywhere, from the
 relation rows through the kernels to the circulation tables, as in the
@@ -34,7 +41,7 @@ kernel basis and Smith form is the one of the positional matrix, relabelled.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -56,7 +63,6 @@ class RelationMatrix:
     vertex)``; zero rows are kept so the generating set matches the
     definition row for row.  ``basis`` holds the column masks, ascending.
     """
-    degree: int
     basis: tuple[int, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     row_labels: tuple[tuple[int, int], ...]
@@ -66,29 +72,23 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
     """Degree-j relation matrix: for each (j-1)-subset sigma, the
     conservation row of every vertex of the contraction X/sigma.
 
-    The edge-mask rows of degree j are read from the class table and
-    expanded to sparse (subset mask, +-1) rows.  Rows follow ascending
-    sigma, then ascending image vertex.
+    The edge-mask rows of degree j are read from the class table, which
+    degree 0, having no rows, does not build.  Edge e of row
+    (sigma, v, plus, minus) is the entry at column sigma | e, +1 if e is in
+    plus and -1 if it is in minus.  Rows follow ascending sigma, then
+    ascending image vertex.
     """
     m = g.num_edges
     require_capacity(m)
     if not 0 <= j <= m:
         raise InputError(f"degree {j} out of range 0..{m}")
-    return expand_mask_rows(m, j, _table_rows(_class_table(g), j))
-
-
-def expand_mask_rows(m: int, j: int,
-                     rows: Iterable[tuple[int, int, int, int]]
-                     ) -> RelationMatrix:
-    """The degree-j relation matrix of an m-edge graph from its edge-mask
-    rows: edge e of row (sigma, v, plus, minus) is the entry at column
-    sigma | e, +1 if e is in plus and -1 if it is in minus."""
     # each surviving edge lies outside sigma and owns its own column
     # sigma | e, so a row never gets two entries in one column; the columns
     # grow with the edge, so every row comes out sorted
     out = []
     labels = []
-    for sigma, v, plus, minus in rows:
+    for sigma, v, plus, minus in (_table_rows(_class_table(g), j) if j
+                                  else ()):
         row = []
         both = plus | minus
         while both:
@@ -97,7 +97,7 @@ def expand_mask_rows(m: int, j: int,
             row.append((sigma | bit, 1 if plus & bit else -1))
         out.append(tuple(row))
         labels.append((sigma, v))
-    return RelationMatrix(j, subset_masks(m, j), tuple(out), tuple(labels))
+    return RelationMatrix(subset_masks(m, j), tuple(out), tuple(labels))
 
 
 class _ClassTable(NamedTuple):
@@ -160,9 +160,25 @@ def _class_table(g: Graph) -> _ClassTable:
     return _ClassTable(part, classes, table)
 
 
+def _is_flipped_table(table: _ClassTable, ref: _ClassTable,
+                      flip_mask: int) -> bool:
+    """Whether ``table`` is the class table ``ref`` with the edges of
+    ``flip_mask`` moved between the two port masks of every class: the
+    same partition of every mask and the same classes, so that each of its
+    edge-mask rows is the flipped reference row under the same label (the
+    sign rule of the module docstring)."""
+    keep = ~flip_mask
+    return (table.part == ref.part and table.classes == ref.classes
+            and table.ports == [
+                tuple([(v, into & keep | out & flip_mask,
+                        out & keep | into & flip_mask)
+                       for v, into, out in ports])
+                for ports in ref.ports])
+
+
 def _table_rows(table: _ClassTable,
                 j: int) -> Iterator[tuple[int, int, int, int]]:
-    """The degree-j edge-mask rows read from a class table: row
+    """The degree-j edge-mask rows, j >= 1, read from a class table: row
     (sigma, v, plus, minus) has a (j-1)-subset sigma, ascending, an image
     vertex v of X/sigma, ascending, and the masks of the edges outside
     sigma that enter and leave v's class.  An edge with both ends in v's
@@ -171,7 +187,7 @@ def _table_rows(table: _ClassTable,
     m = len(table.part).bit_length() - 1
     part, ports = table.part, table.ports
     return ((sigma, v, into & ~out, out & ~into)
-            for sigma in (subset_masks(m, j - 1) if j else ())
+            for sigma in subset_masks(m, j - 1)
             for v, into, out in ports[part[sigma]])
 
 

@@ -35,8 +35,5 @@ class CheckReport:
         """True when every non-exploratory check passed."""
         return all(c.passed for c in self.checks if not c.exploratory)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed and not c.exploratory]
-
     def as_dicts(self) -> list[dict]:
         return [c.as_dict() for c in self.checks]

@@ -2,24 +2,10 @@
 runnable per graph and over the whole small-multigraph corpus.
 
 Orientation-invariance trials re-run the full pipeline on re-oriented
-copies.  Each copy's relation rows are held in a class table of its own,
-built from the copy alone: a partition id for every edge mask, and for each
-distinct partition the classes of its image vertices with the masks of the
-edges whose head (into) and whose tail (out) lie in each class.  Row
-(sigma, v) keeps the edges outside sigma that enter v's class in X/sigma
-(plus = into & ~out) and those that leave it (minus = out & ~into).
-Reversing the edges of a flip set F keeps every partition and moves exactly
-the edges of F between into and out, so a faithful copy has the reference
-partition ids and classes and the ports into & ~F | out & F,
-out & ~F | into & F.  Its rows are then plus & ~F | minus & F,
-minus & ~F | plus & F under the same labels: the reference entry at column
-sigma | e negated exactly when e is in F, so the rebuilt matrix is R M D
-for +-1 diagonals R and D (the parities of F on each row's sigma and each
-column's subset) and has the reference rank, which was computed by exact
-elimination.  A copy whose table fails the rule is expanded degree by
-degree; a degree whose rows are not a flipped copy of the reference rows is
-ranked by exact elimination itself.  The reference table is the one whose
-rows ``rank_sequence`` ranks.
+copies.  A copy's rank sequence passes when its own class table follows the
+sign rule against the reference table, or else when the copy's own relation
+matrices, ranked by exact elimination, give the reference sequence; the
+table and its sign rule are described in ``flowalg.relations``.
 
 Re-orienting keeps the maximal forest and the chords, and each basic flow
 becomes s_c D beta_c, with D the +-1 diagonal of the flips and s_c = -1
@@ -33,9 +19,7 @@ anywhere.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from fractions import Fraction
-from math import comb
 
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
@@ -46,9 +30,8 @@ from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
 from .lattice import (characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
-from .relations import (_ClassTable, _class_table, _table_rows,
-                        expand_mask_rows, integral_circulations,
-                        rank_sequence, torsion_check)
+from .relations import (_class_table, _is_flipped_table,
+                        integral_circulations, rank_sequence, torsion_check)
 from .report import CheckReport
 from .tutte import complexity, poincare
 
@@ -58,54 +41,6 @@ def trimmed(seq) -> tuple[int, ...]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _is_flipped_copy(rows: list[tuple], ref: Iterable[tuple],
-                     flip_mask: int) -> bool:
-    """Whether the edge-mask rows ``rows`` are the rows ``ref`` with the
-    edges of ``flip_mask`` moved between plus and minus, label for label:
-    the rows of R ref D, with R and D the +-1 diagonals of the flip parity
-    of each row's sigma and each column's subset."""
-    keep = ~flip_mask
-    return rows == [(sigma, v, plus & keep | minus & flip_mask,
-                     minus & keep | plus & flip_mask)
-                    for sigma, v, plus, minus in ref]
-
-
-def _is_flipped_table(table: _ClassTable, ref: _ClassTable,
-                      flip_mask: int) -> bool:
-    """Whether ``table`` is the class table ``ref`` with the edges of
-    ``flip_mask`` moved between the two port masks of every class: the
-    same partition of every mask and the same classes, so that each of its
-    edge-mask rows is the flipped reference row under the same label."""
-    keep = ~flip_mask
-    return (table.part == ref.part and table.classes == ref.classes
-            and table.ports == [
-                tuple([(v, into & keep | out & flip_mask,
-                        out & keep | into & flip_mask)
-                       for v, into, out in ports])
-                for ports in ref.ports])
-
-
-def _same_rank_sequence(g2: Graph, ref: _ClassTable, ref_d: tuple[int, ...],
-                        flip_mask: int) -> bool:
-    """Exact check that the re-oriented graph has the rank sequence
-    ``ref_d``.  A class table that is a flipped copy of the reference table
-    gives flipped copies of the reference rows at every degree.  Otherwise
-    each degree is expanded: rows that are a flipped copy of the reference
-    rows have their rank, and any other degree is ranked by exact
-    elimination."""
-    table = _class_table(g2)
-    if _is_flipped_table(table, ref, flip_mask):
-        return True
-    m = g2.num_edges
-    for j in range(m + 1):
-        rows = list(_table_rows(table, j))
-        if (not _is_flipped_copy(rows, _table_rows(ref, j), flip_mask)
-                and rank_int_rows(expand_mask_rows(m, j, rows).rows)
-                != comb(m, j) - ref_d[j]):
-            return False
-    return True
 
 
 # -- per-graph verification --------------------------------------------------
@@ -299,7 +234,8 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
         checked.add(g2)
         if trimmed(poincare(g2)) != ref_p:
             return False
-        if not _same_rank_sequence(g2, ref, ref_d, g.mask_of(flip)):
+        if not (_is_flipped_table(_class_table(g2), ref, g.mask_of(flip))
+                or rank_sequence(g2) == ref_d):
             return False
         lat2 = lattice(g2)
         if lat2.determinant != ref_lat.determinant:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
 from flowalg.graph import Graph, _components, build
-from flowalg.relations import _class_table, _table_rows
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 
@@ -110,13 +109,6 @@ def ids_of(g, mask):
 def is_loop(g, eid):
     _, tail, head = g.edge(eid)
     return tail == head
-
-
-def mask_rows(g):
-    """The edge-mask rows (sigma, v, plus, minus) of every degree of ``g``,
-    read from its class table."""
-    table = _class_table(g)
-    return [list(_table_rows(table, j)) for j in range(g.num_edges + 1)]
 
 
 def reference_is_cut_edge(g, eid):

@@ -36,8 +36,7 @@ def contraction_reference(g, j):
         for v in image.vertices:
             rows.append(tuple(sorted(incident[v])))
             labels.append((sigma, v))
-    return RelationMatrix(j, subset_masks(m, j), tuple(rows),
-                          tuple(labels))
+    return RelationMatrix(subset_masks(m, j), tuple(rows), tuple(labels))
 
 
 @st.composite
@@ -100,6 +99,15 @@ def test_relation_matrix_degree_zero_is_empty():
     rel = relation_matrix(cycle_graph(3), 0)
     assert rel.rows == ()
     assert rel.basis == (0,)
+
+
+def test_relation_matrix_degree_zero_builds_no_class_table():
+    # C10 plus the chords i -> i+3: a class table would have 2^20 masks
+    g = build([(i, i, i % 10 + 1) for i in range(1, 11)]
+              + [(10 + i, i, (i + 2) % 10 + 1) for i in range(1, 11)])
+    misses = _class_table.cache_info().misses
+    assert relation_matrix(g, 0) == RelationMatrix((0,), (), ())
+    assert _class_table.cache_info().misses == misses
 
 
 def test_relation_matrix_triangle_degree_one():

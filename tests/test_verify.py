@@ -1,4 +1,5 @@
 import importlib
+import random
 
 import pytest
 
@@ -6,43 +7,17 @@ from flowalg.errors import InputError
 from flowalg.graph import (Graph, bouquet_graph, complete_graph,
                            dipole_graph)
 from flowalg.lattice import FlowLattice
-from flowalg.verify import _is_flipped_copy, orientation_invariance
+from flowalg.verify import orientation_invariance
 
-from conftest import ids_of, mask_rows
+from conftest import is_loop
 
 lattice_mod = importlib.import_module("flowalg.lattice")
+relations = importlib.import_module("flowalg.relations")
 verify = importlib.import_module("flowalg.verify")
 
 # a parallel pair, a loop and a triangle
 MIXED = Graph((1, 2, 3), ((1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 3, 1),
                           (5, 3, 3)))
-
-
-def test_signed_copy_rejects_one_wrong_sign():
-    flip_mask = 0b01010
-    refs = mask_rows(MIXED)
-    rebuilt = mask_rows(MIXED.reorient(ids_of(MIXED, flip_mask)))
-    for j in range(1, MIXED.num_edges):
-        ref, rows = refs[j], rebuilt[j]
-        i = next(i for i, (_, _, plus, minus) in enumerate(rows)
-                 if plus | minus)
-        sigma, v, plus, minus = rows[i]
-        bit = (plus | minus) & -(plus | minus)
-        bad = rows[:i] + [(sigma, v, plus ^ bit, minus ^ bit)] + rows[i + 1:]
-        assert _is_flipped_copy(rows, ref, flip_mask)
-        assert not _is_flipped_copy(bad, ref, flip_mask)
-
-
-def test_signed_copy_rejects_swapped_row_labels():
-    flip_mask = 0b00110
-    refs = mask_rows(MIXED)
-    rebuilt = mask_rows(MIXED.reorient(ids_of(MIXED, flip_mask)))
-    for j in range(1, MIXED.num_edges + 1):
-        ref, rows = refs[j], rebuilt[j]
-        (s0, v0, *masks0), (s1, v1, *masks1) = rows[0], rows[-1]
-        bad = [(s1, v1, *masks0), *rows[1:-1], (s0, v0, *masks1)]
-        assert _is_flipped_copy(rows, ref, flip_mask)
-        assert not _is_flipped_copy(bad, ref, flip_mask)
 
 
 def test_orientation_invariance_holds_on_small_graphs():
@@ -55,23 +30,50 @@ def test_orientation_invariance_refuses_a_negative_theta_bound():
         orientation_invariance(complete_graph(4), 3, theta_bound=-1)
 
 
+def test_orientation_trials_skip_copies_already_checked(monkeypatch):
+    # Each checked copy builds one lattice, after the reference's.  The
+    # draws repeat flips and differ only on the loop, so fewer copies than
+    # trials are checked.
+    trials, seed = 40, 3
+    built = []
+    real = verify.lattice
+
+    def spy(h):
+        built.append(h)
+        return real(h)
+
+    monkeypatch.setattr(verify, "lattice", spy)
+    assert orientation_invariance(MIXED, trials, seed=seed)
+    rng = random.Random(seed)
+    ids = list(MIXED.edge_ids)
+    loops = {eid for eid in ids if is_loop(MIXED, eid)}
+    draws = [frozenset(eid for eid in ids if rng.getrandbits(1))
+             for _ in range(trials)]
+    copies = {flips - loops for flips in draws}
+    assert len(copies) < len(set(draws)) < trials
+    assert built[0] is MIXED
+    assert len(built) == 1 + len(copies)
+
+
 def _patched_copies(monkeypatch, g, change):
-    """Route every re-oriented copy's class table through ``change``; the
-    reference table of ``g`` itself is left as built."""
-    real = verify._class_table
+    """Route every re-oriented copy's class table through ``change``, both
+    where the sign rule reads it and where the copy's relation matrices are
+    built; the reference table of ``g`` itself is left as built."""
+    real = relations._class_table
 
     def patched(h):
         table = real(h)
         return table if h.edges == g.edges else change(table)
 
     monkeypatch.setattr(verify, "_class_table", patched)
+    monkeypatch.setattr(relations, "_class_table", patched)
 
 
 def test_orientation_invariance_rejects_a_rank_change(monkeypatch):
     # A pipeline that loses the ports of the partitions of the one-edge
     # masks, which hold the degree-2 rows of K4, on every re-oriented copy
-    # is no flipped copy of the reference table, so the exact fallback
-    # ranks it and must find the rank change.
+    # fails the sign rule, so the copy's own rank sequence is computed and
+    # must differ from the reference.
     g = complete_graph(4)
 
     def lossy(table):
@@ -86,10 +88,10 @@ def test_orientation_invariance_rejects_a_rank_change(monkeypatch):
 
 def test_orientation_invariance_ranks_other_forms_exactly(monkeypatch):
     # Swapping the two port masks of each partition's first class negates
-    # its rows: the rank stays, but the flipped-copy form breaks, so each
-    # re-oriented copy must pass through exact elimination.
+    # its rows: the rank stays, but the sign rule fails, so each re-oriented
+    # copy must have its own rank sequence computed.
     g = complete_graph(4)
-    real_rank = verify.rank_int_rows
+    real_ranks = verify.rank_sequence
     ranked = []
 
     def negated(table):
@@ -97,14 +99,14 @@ def test_orientation_invariance_ranks_other_forms_exactly(monkeypatch):
                                      for (v, into, out), *rest
                                      in table.ports])
 
-    def spy(rows):
-        ranked.append(len(rows))
-        return real_rank(rows)
+    def spy(h):
+        ranked.append(h)
+        return real_ranks(h)
 
     _patched_copies(monkeypatch, g, negated)
-    monkeypatch.setattr(verify, "rank_int_rows", spy)
+    monkeypatch.setattr(verify, "rank_sequence", spy)
     assert orientation_invariance(g, trials=5, seed=1)
-    assert ranked
+    assert any(h.edges != g.edges for h in ranked)
 
 
 def _spy_theta(monkeypatch):
