@@ -7,8 +7,7 @@ from .circulation import (Circulation, GF, QQ, Ring, ZZ, divided_power,
                           exponential, monomial_dimensions, nilpotence,
                           pseudopower, relation_membership_check,
                           verify_inequalities)
-from .errors import (CapacityError, CheckError, FlowAlgError, InfeasibleError,
-                     InputError)
+from .errors import CapacityError, CheckError, FlowAlgError, InputError
 from .graph import (Graph, build, bouquet_graph, complete_graph,
                     cycle_graph, dipole_graph, disjoint_union,
                     one_point_union, path_graph)
@@ -26,8 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPoly", "CapacityError", "CharacteristicFlow", "CheckError",
     "Circulation", "CosetSystem", "FlowAlgError", "FlowLattice", "GF", "Graph",
-    "InfeasibleError", "InputError", "QQ", "QSeries", "RelationMatrix", "Ring",
-    "ZZ", "bouquet_graph", "build", "characteristic_flow",
+    "InputError", "QQ", "QSeries", "RelationMatrix", "Ring", "ZZ",
+    "bouquet_graph", "build", "characteristic_flow",
     "codichromatic_compare", "complete_graph", "complexity", "coset_system",
     "cycle_graph", "dipole_graph", "disjoint_union", "divided_power",
     "exponential", "flows_of_norm", "integral_circulations", "lattice",

@@ -17,10 +17,6 @@ class CapacityError(FlowAlgError):
     corpus of more than ``MAX_CORPUS_EDGES`` edges."""
 
 
-class InfeasibleError(FlowAlgError):
-    """An affine system of constraints has no solution."""
-
-
 class CheckError(FlowAlgError):
     """An internal cross-validation failed: two independent computations
     of the same quantity disagree.  Always indicates a bug or a corrupted

@@ -8,6 +8,16 @@ forests; that identity, the norm identity for characteristic flows, and the
 agreement of the factored theta product with brute-force enumeration are all
 asserted where they are cheap and verified corpus-wide by the test suite.
 
+Characteristic flows are held in integers, numerators over one positive
+denominator.  Every edge's flow, in both directions, is read from one
+fraction-free Laplacian solve per graph (:func:`_projection`, which keeps
+the projection of the last graph), so the edges of a graph and all chords a
+coset system tries in one subgraph share it.  The checks on a flow do not
+go through that solve: the potential is integrated along the edges and
+checked against every edge and the norm, and ``verify_graph`` checks the
+norm against Tutte's forest counts and the projection law against the
+lattice basis, all in integers.
+
 A coset system can take the chords in any order; the number of coset
 representatives, the product of the chords' integrality indices, depends on
 it.  :func:`coset_system` reports the ascending order by default (this is
@@ -24,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm, prod
+from functools import lru_cache
+from math import floor, gcd, lcm, prod
 from operator import mul
 
 from . import errors
@@ -45,21 +56,36 @@ class FlowLattice:
 
 @dataclass(frozen=True)
 class CharacteristicFlow:
-    """Minimum-norm rational flow carrying unit value on one edge.
+    """Minimum-norm rational flow carrying unit value on one edge, held in
+    integers: the numerators ``num`` of chi and ``pot`` of the potential,
+    over the one positive denominator ``den``, in lowest terms.
 
     ``chi`` is expressed in reference coordinates, so ``chi[e]`` equals
     ``direction`` (+1 along the stored arc, -1 against it).  ``potential``
     is the vertex function vanishing at the arc's head whose coboundary
-    reproduces ``chi`` off the distinguished edge.
+    reproduces ``chi`` off the distinguished edge.  ``chi``, ``potential``
+    and ``norm`` = <chi, chi> are exact ``Fraction``s built on demand.
     """
     edge: int
     direction: int
-    chi: tuple[Fraction, ...]
-    potential: dict[int, Fraction]
-    norm: Fraction
+    num: tuple[int, ...]
+    pot: dict[int, int]
+    den: int
 
     def __post_init__(self):
-        object.__setattr__(self, "potential", dict(self.potential))
+        object.__setattr__(self, "pot", dict(self.pot))
+
+    @property
+    def chi(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    @property
+    def potential(self) -> dict[int, Fraction]:
+        return {v: Fraction(p, self.den) for v, p in self.pot.items()}
+
+    @property
+    def norm(self) -> Fraction:
+        return Fraction(sum(x * x for x in self.num), self.den ** 2)
 
 
 @dataclass(frozen=True)
@@ -75,6 +101,16 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
+@lru_cache(maxsize=1)
+def _projection(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``min_norm_affine`` of the incidence matrix of g: den times the
+    projection onto the flow space, one row per edge position.  The
+    projection of the last graph is kept, so the edges, both directions
+    and every chord a coset system tries in one subgraph share one
+    solve."""
+    return min_norm_affine(g.incidence_rows(), g.num_edges)
+
+
 def characteristic_flow(g: Graph, eid: int, direction: int = 1
                         ) -> CharacteristicFlow:
     """Unit electric current through one edge: the unique minimum-norm
@@ -84,9 +120,9 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     rescaled to value 1 on the edge: x = e - B^T p, where B is the incidence
     matrix and the vertex potential p solves L p = B e for the graph
     Laplacian L = B B^T, so that x_f = [f = e] - (p_head(f) - p_tail(f)).
-    :func:`~flowalg.linalg.min_norm_affine` does this with one
-    fraction-free integer solve of the Laplacian system, over one common
-    denominator; only the returned entries are rational.
+    The row u of the edge in the graph's :func:`_projection`, one
+    fraction-free integer solve of the Laplacian system for all edges, is
+    an integer multiple of that projection, so chi = u / u_e.
 
     Raises ``InputError`` for cut-edges, where every flow vanishes on the
     edge and the constraint is infeasible.
@@ -97,25 +133,33 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     if g.is_cut_edge(eid):
         raise InputError(
             f"edge {eid} is a cut-edge: the flow space forces value 0 on it")
-    chi = min_norm_affine(g.incidence_rows(), g.position(eid), direction,
-                          g.num_edges)
-    norm = sum(x * x for x in chi)
+    pos = g.position(eid)
+    u = _projection(g)[1][pos]
+    if u[pos] <= 0:
+        raise check_failed(g, "projection", f"the projection of edge {eid} "
+                           f"has entry {u[pos]} on the edge")
+    k = gcd(*u)
+    den = u[pos] // k
+    num = [direction * x // k for x in u]
     head_a = head if direction == 1 else tail
     tail_a = tail if direction == 1 else head
-    potential = _integrate_potential(g, eid, chi, head_a)
-    if norm != 1 + potential[tail_a]:
+    pot = _integrate_potential(g, eid, num, head_a)
+    # <chi, chi> = 1 + potential at the arc's tail, times den^2
+    sq = sum(x * x for x in num)
+    if sq != den * (den + pot[tail_a]):
         raise check_failed(g, "potential norm",
-                           f"norm {norm} != 1 + potential "
-                           f"{potential[tail_a]} at vertex {tail_a}")
-    return CharacteristicFlow(eid, direction, tuple(chi), potential, norm)
+                           f"norm {Fraction(sq, den * den)} != 1 + potential "
+                           f"{Fraction(pot[tail_a], den)} at vertex {tail_a}")
+    return CharacteristicFlow(eid, direction, tuple(num), pot, den)
 
 
-def _integrate_potential(g: Graph, eid: int, chi, base: int
-                         ) -> dict[int, Fraction]:
-    """Vertex potential with value 0 at ``base``: integrate chi along edges
-    other than ``eid``; verified against every edge afterwards."""
+def _integrate_potential(g: Graph, eid: int, num, base: int
+                         ) -> dict[int, int]:
+    """Vertex potential numerators, over the flow's denominator, with value
+    0 at ``base``: integrate the flow numerators ``num`` along edges other
+    than ``eid``; verified against every edge afterwards."""
     potential = {v: None for v in g.vertices}
-    potential[base] = Fraction(0)
+    potential[base] = 0
     queue = [base]
     while queue:
         nxt = []
@@ -124,22 +168,22 @@ def _integrate_potential(g: Graph, eid: int, chi, base: int
                 if other_eid == eid or potential[other] is not None:
                     continue
                 _, t, h = g.edge(other_eid)
-                val = chi[g.position(other_eid)]
+                val = num[g.position(other_eid)]
                 potential[other] = (potential[u] + val if other == h
                                     else potential[u] - val)
                 nxt.append(other)
         queue = nxt
     for v in g.vertices:
         if potential[v] is None:
-            potential[v] = Fraction(0)
+            potential[v] = 0
     for other_eid, t, h in g.edges:
         if other_eid == eid or t == h:
             continue
-        if chi[g.position(other_eid)] != potential[h] - potential[t]:
+        if num[g.position(other_eid)] != potential[h] - potential[t]:
             raise check_failed(
-                g, "potential difference", f"flow {chi[g.position(other_eid)]}"
-                f" on edge {other_eid} != potential difference "
-                f"{potential[h] - potential[t]}")
+                g, "potential difference", f"flow numerator "
+                f"{num[g.position(other_eid)]} on edge {other_eid} != "
+                f"potential difference {potential[h] - potential[t]}")
     return potential
 
 
@@ -170,7 +214,7 @@ def _next_chord(sub: Graph, remaining: list[int], greedy: bool):
     best = None
     for c in remaining:
         flow = characteristic_flow(sub, c)
-        r = lcm(*(x.denominator for x in flow.chi))
+        r = flow.den // gcd(flow.den, *flow.num)
         if best is None or r < best[0]:
             best = (r, c, flow)
         if not greedy or r == 1:
@@ -205,12 +249,12 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
         remaining.remove(c)
         # phi = r * chi, zero on the chords deleted before this one
         phi = [0] * g.num_edges
-        for eid, x in zip(sub.edge_ids, flow.chi):
-            x *= r
-            if x.denominator != 1:
+        for eid, x in zip(sub.edge_ids, flow.num):
+            x, rest = divmod(x * r, flow.den)
+            if rest:
                 raise check_failed(g, "index rescaling",
                                    "rescaled flow has a non-integer entry")
-            phi[g.position(eid)] = int(x)
+            phi[g.position(eid)] = x
         chords.append(c)
         indices.append(r)
         rescaled.append(tuple(phi))
@@ -341,16 +385,30 @@ def theta_enumerate(g: Graph, bound) -> QSeries:
     :func:`~flowalg.linalg.enumerate_by_norm` finds the vectors by an
     integer-scaled search over the LDL^T data of the Gram matrix; each
     vector's norm v^T G v is then recomputed in integers from the Gram
-    matrix itself, and a vector above the bound is a failed check."""
+    matrix itself, and a vector above the bound is a failed check.  With
+    v = (t, s), t the first coordinate, v^T G v = G_00 t^2 + 2 t <G_0, s> +
+    s^T G' s, where G_0 is the rest of G's first row and G' the Gram matrix
+    on s; the last two terms are recomputed only when s changes, which the
+    search's order (first coordinate innermost) makes rare.  Any order of
+    the vectors gives the same result."""
     bound = Fraction(bound)
     if bound < 0:
         raise InputError("truncation bound must be nonnegative")
     lat = lattice(g)
-    gram = [list(row) for row in lat.gram]
     limit = floor(bound)  # norms are integers
+    if not lat.gram:  # no chords: the zero vector alone
+        return QSeries.from_dict({0: len(enumerate_by_norm([], bound))}, bound)
     acc: dict[int, int] = {}
-    for vec in enumerate_by_norm(gram, bound):
-        norm = sum(x * _dot(row, vec) for x, row in zip(vec, gram) if x)
+    g00, g0 = lat.gram[0][0], lat.gram[0][1:]
+    rest = [row[1:] for row in lat.gram[1:]]
+    s = None
+    for vec in enumerate_by_norm([list(row) for row in lat.gram], bound):
+        if vec[1:] != s:
+            s = vec[1:]
+            cross = 2 * _dot(g0, s)
+            tail = sum(x * _dot(row, s) for x, row in zip(s, rest) if x)
+        t = vec[0]
+        norm = (g00 * t + cross) * t + tail
         if norm > limit:
             raise check_failed(g, "enumeration bound",
                                f"vector {vec} has norm {norm} > {bound}")

@@ -13,10 +13,11 @@ reduction, gives both the integer kernels and the Smith invariant factors
 column may be any integer, such as the subset mask that names a column of a
 relation matrix, and columns are ordered by their value.
 
-Minimum-norm points come from one orthogonal projection onto a kernel,
-computed by a fraction-free integer solve of the Gram system mat mat^T; on
-an incidence matrix that is the graph Laplacian (see
-:func:`min_norm_affine`).
+Minimum-norm points come from the orthogonal projection onto a kernel, for
+every coordinate at once: one fraction-free integer solve of the Gram
+system mat mat^T with all columns of mat as right-hand sides gives the
+projection as an integer matrix over one denominator; on an incidence
+matrix the Gram system is the graph Laplacian (see :func:`min_norm_affine`).
 """
 
 from __future__ import annotations
@@ -25,63 +26,66 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import InfeasibleError, InputError
-
-Vector = list[Fraction]
+from .errors import InputError
 
 
 # -- minimum-norm point ---------------------------------------------------
 
 
-def min_norm_affine(mat, i: int, value, ncols: int) -> Vector:
-    """Minimum-norm point of ``{x : mat @ x = 0, x[i] = value}`` for an
-    integer matrix ``mat`` with ``ncols`` columns.
+def min_norm_affine(mat, ncols: int
+                    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The orthogonal projection P onto ker(mat), for an integer matrix
+    ``mat`` with ``ncols`` columns, as ``(den, u)``: ``den > 0`` and, for
+    every coordinate i, ``u[i] = den * P e_i``, an integer vector.
 
-    With P the orthogonal projection onto ker(mat), the minimizer is
-    value * P e_i / (P e_i)_i, because |P e_i|^2 = (P e_i)_i.  One solve gives
-    P e_i = e_i - mat^T y for any y with (mat mat^T) y = mat e_i: the system is
-    always consistent and mat^T y does not depend on the choice of y, so the
-    free variables are set to 0.  For an incidence matrix, mat mat^T is the
-    graph Laplacian and y a vertex potential.
+    It gives the minimum-norm point of ``{x : mat @ x = 0, x[i] = value}``
+    for every i at once: that point is value * u[i] / u[i][i], because
+    |P e_i|^2 = (P e_i)_i; when u[i][i] = 0, every point of ker(mat)
+    vanishes at i and only value 0 is feasible.  P = I - mat^T Y for any Y
+    with (mat mat^T) Y = mat: the system is always consistent and mat^T Y
+    does not depend on the choice of Y, so the free variables are set to 0.
+    For an incidence matrix, mat mat^T is the graph Laplacian and each
+    column of Y a vertex potential.
 
-    The solve is fraction-free.  The rows of [mat mat^T | mat e_i] are
-    reduced one by one to an integer echelon form by :func:`_echelon`, and
-    back-substitution keeps y = y_num / den over one common denominator.
-    So u = den e_i - mat^T y_num is an integer multiple of P e_i, and the
-    point is value * u / u_i: only its ``ncols`` entries are ``Fraction``s.
-    Raises ``InfeasibleError`` if value != 0 but
-    every point of ker(mat) vanishes at i.
+    The solve is one fraction-free elimination: the rows of
+    [mat mat^T | mat] are reduced one by one to an integer echelon form by
+    :func:`_echelon`, and back-substitution keeps Y = Y_num / den over one
+    common denominator for all ``ncols`` right-hand sides.  So
+    u = den I - mat^T Y_num, a symmetric integer matrix.
     """
-    if not 0 <= i < ncols:
-        raise InputError(f"fixed coordinate {i} out of range")
     r = len(mat)
     pivots = _echelon(
         {c: v for c, v in enumerate([sum(map(mul, r1, r2)) for r2 in mat]
-                                    + [r1[i]]) if v}
+                                    + list(r1)) if v}
         for r1 in mat)
-    y = [0] * r
+    y = [[0] * ncols for _ in range(r)]
     den = 1
+    # the system is consistent, so every pivot lies in the Gram block
     for p in sorted(pivots, reverse=True):
         piv = pivots[p]
-        s = piv.get(r, 0) * den - sum(v * y[c] for c, v in piv.items()
-                                      if p < c < r)
-        # y_p = s / (piv[p] den): scale y to the common denominator piv[p] den
-        y = [x * piv[p] for x in y]
+        s = [piv.get(r + c, 0) * den for c in range(ncols)]
+        for k, v in piv.items():
+            if p < k < r:
+                s = [a - v * b for a, b in zip(s, y[k])]
+        # y_p = s / (piv[p] den): scale Y to the common denominator piv[p] den
+        y = [[x * piv[p] for x in row] for row in y]
         den *= piv[p]
         y[p] = s
-        g = gcd(den, *y)
+        g = gcd(den, *(x for row in y for x in row))
         if g > 1:
-            y = [x // g for x in y]
+            y = [[x // g for x in row] for row in y]
             den //= g
-    u = [den * (c == i) - sum(y[k] * row[c] for k, row in enumerate(mat)
-                              if row[c] and y[k])
-         for c in range(ncols)]
-    if u[i] == 0:
-        if value:
-            raise InfeasibleError(f"every point of the kernel vanishes at {i}")
-        return [Fraction(0)] * ncols
-    scale = Fraction(value) / u[i]
-    return [x * scale for x in u]
+    if den < 0:
+        den, y = -den, [[-x for x in row] for row in y]
+    # u[i][c] = den [c = i] - sum_k y[k][i] mat[k][c]
+    u = [[den * (c == i) for c in range(ncols)] for i in range(ncols)]
+    for yk, row in zip(y, mat):
+        for c, a in enumerate(row):
+            if a:
+                for i, b in enumerate(yk):
+                    if b:
+                        u[i][c] -= a * b
+    return den, tuple(map(tuple, u))
 
 
 # -- sparse fraction-free integer rank ------------------------------------

@@ -73,7 +73,9 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
     conservation row of every vertex of the contraction X/sigma.
 
     The edge-mask rows of degree j are read from the class table, which
-    degree 0, having no rows, does not build.  Edge e of row
+    degree 0, having no rows, does not build, and neither does degree 1,
+    whose only sigma is empty: its rows come from the vertex ports of g,
+    the table's ports for the empty mask.  Edge e of row
     (sigma, v, plus, minus) is the entry at column sigma | e, +1 if e is in
     plus and -1 if it is in minus.  Rows follow ascending sigma, then
     ascending image vertex.
@@ -82,13 +84,18 @@ def relation_matrix(g: Graph, j: int) -> RelationMatrix:
     require_capacity(m)
     if not 0 <= j <= m:
         raise InputError(f"degree {j} out of range 0..{m}")
+    if j == 1:
+        # the empty sigma: every class is one vertex of g itself
+        rows = ((0, v, into & ~out, out & ~into)
+                for v, into, out in _vertex_ports(g))
+    else:
+        rows = _table_rows(_class_table(g), j) if j else ()
     # each surviving edge lies outside sigma and owns its own column
     # sigma | e, so a row never gets two entries in one column; the columns
     # grow with the edge, so every row comes out sorted
     out = []
     labels = []
-    for sigma, v, plus, minus in (_table_rows(_class_table(g), j) if j
-                                  else ()):
+    for sigma, v, plus, minus in rows:
         row = []
         both = plus | minus
         while both:
@@ -123,14 +130,9 @@ def _class_table(g: Graph) -> _ClassTable:
     is made with ``_replace``."""
     require_capacity(g.num_edges)
     at = {v: i for i, v in enumerate(g.vertices)}
-    into = dict.fromkeys(sorted(g.vertices), 0)
-    out = into.copy()
-    for i, (_, t, h) in enumerate(g.edges):
-        into[h] |= 1 << i
-        out[t] |= 1 << i
     ends = [(at[t], at[h]) for _, t, h in g.edges]
     classes = [g.vertices]
-    table = [tuple([(v, into[v], out[v]) for v in into])]
+    table = [_vertex_ports(g)]
     index = {g.vertices: 0}
     part = [0]
     for t, h in ends:
@@ -158,6 +160,18 @@ def _class_table(g: Graph) -> _ClassTable:
             te.append(q)
         part.extend([te[p] for p in part])
     return _ClassTable(part, classes, table)
+
+
+def _vertex_ports(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """The ports of the empty mask, where every class is one vertex: one
+    (v, into, out) per vertex v, ascending, with the masks of the edges
+    whose head and whose tail is v."""
+    into = dict.fromkeys(sorted(g.vertices), 0)
+    out = into.copy()
+    for i, (_, t, h) in enumerate(g.edges):
+        into[h] |= 1 << i
+        out[t] |= 1 << i
+    return tuple([(v, into[v], out[v]) for v in into])
 
 
 def _is_flipped_table(table: _ClassTable, ref: _ClassTable,

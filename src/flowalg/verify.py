@@ -19,7 +19,6 @@ anywhere.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
@@ -27,7 +26,7 @@ from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
 from .errors import CheckError, InputError
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
-from .lattice import (characteristic_flow, lattice, theta_enumerate,
+from .lattice import (_dot, characteristic_flow, lattice, theta_enumerate,
                       theta_product)
 from .linalg import rank_int_rows
 from .relations import (_class_table, _is_flipped_table,
@@ -142,21 +141,22 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
         except CheckError as exc:
             ok, detail = False, str(exc)
             break
-        if flow.norm != Fraction(kappa, complexity(deleted[eid])):
+        # <chi, chi> = sq / den^2 against kappa(X) / kappa(X minus e)
+        sq = sum(x * x for x in flow.num)
+        if sq * complexity(deleted[eid]) != kappa * flow.den ** 2:
             ok, detail = False, f"norm identity fails at edge {eid}"
             break
         rev = characteristic_flow(g, eid, direction=-1)
-        if any(a + b != 0 for a, b in zip(flow.chi, rev.chi)):
+        if rev.den != flow.den or any(a + b for a, b in zip(flow.num,
+                                                            rev.num)):
             ok, detail = False, f"arc reversal does not negate at edge {eid}"
             break
         if lat is not None:
+            # <phi, chi> = phi_e <chi, chi>, times den^2
             pos = g.position(eid)
-            for phi in lat.basis:
-                lhs = sum(Fraction(x) * c for x, c in zip(phi, flow.chi))
-                if lhs != phi[pos] * flow.norm:
-                    ok, detail = False, f"projection law fails at edge {eid}"
-                    break
-            if not ok:
+            if any(_dot(phi, flow.num) * flow.den != phi[pos] * sq
+                   for phi in lat.basis):
+                ok, detail = False, f"projection law fails at edge {eid}"
                 break
     rep.add("characteristic-flows", ok, detail)
 

@@ -41,6 +41,26 @@ def rref(mat):
     return m, pivots
 
 
+def min_norm_affine_rational(mat, i, value, ncols):
+    """The minimum-norm point of {x : mat x = 0, x_i = value} by a rational
+    solve, one coordinate at a time, or None where it does not exist: one
+    ``rref`` of [mat mat^T | mat e_i], free variables 0, then
+    value P e_i / (P e_i)_i.  A reference for the all-coordinates solve of
+    ``flowalg.linalg.min_norm_affine``."""
+    value = Fraction(value)
+    r = len(mat)
+    red, pivots = rref([[sum(a * b for a, b in zip(r1, r2)) for r2 in mat]
+                        + [r1[i]] for r1 in mat])
+    y = [Fraction(0)] * r
+    for k, p in enumerate(pivots):
+        y[p] = red[k][r]
+    proj = [int(c == i) - sum(y[k] * mat[k][c] for k in range(r))
+            for c in range(ncols)]
+    if proj[i] == 0:
+        return [Fraction(0)] * ncols if value == 0 else None
+    return [x * value / proj[i] for x in proj]
+
+
 def sparse(mat):
     """The sparse rows (dicts column -> value, zeros dropped) of a dense
     integer matrix, the row format of the ``flowalg.linalg`` eliminations."""

@@ -1,9 +1,12 @@
 import importlib
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
 
 import flowalg.errors as errors
 from flowalg.cli import parse_graph
@@ -15,6 +18,9 @@ from flowalg.lattice import (characteristic_flow, codichromatic_compare,
                              theta_enumerate, theta_product)
 from flowalg.series import QSeries
 from flowalg.tutte import complexity
+
+from conftest import (min_norm_affine_rational, reference_is_cut_edge,
+                      small_multigraphs)
 
 F = Fraction
 # the package re-exports the function ``lattice`` under the module's name
@@ -74,6 +80,82 @@ def test_norm_identity():
     for g, eid, norm in cases:
         kappa = Fraction(complexity(g), complexity(g.delete([eid])))
         assert characteristic_flow(g, eid).norm == kappa == norm
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_multigraphs())
+def test_characteristic_flow_matches_the_rational_solve(g):
+    """Every non-cut edge, both directions: chi is the per-edge rational
+    solve, held in lowest terms over its denominator."""
+    mat = [list(row) for row in g.incidence_rows()]
+    for eid in g.edge_ids:
+        if reference_is_cut_edge(g, eid):
+            continue
+        for direction in (1, -1):
+            flow = characteristic_flow(g, eid, direction)
+            assert list(flow.chi) == min_norm_affine_rational(
+                mat, g.position(eid), direction, g.num_edges)
+            assert flow.den == lcm(*(x.denominator for x in flow.chi))
+            assert flow.norm == sum(x * x for x in flow.chi)
+
+
+def test_one_solve_serves_every_edge_and_chord(monkeypatch,
+                                               fresh_projection):
+    calls = []
+    real = lattice_mod.min_norm_affine
+
+    def spy(mat, ncols):
+        calls.append(ncols)
+        return real(mat, ncols)
+
+    monkeypatch.setattr(lattice_mod, "min_norm_affine", spy)
+    g = complete_graph(4)
+    for eid in g.edge_ids:
+        for direction in (1, -1):
+            characteristic_flow(g, eid, direction)
+    assert calls == [6]
+    # the graph itself is cached; then one solve per chord deleted
+    system = coset_system(g, greedy=True)
+    assert calls == [6, 5, 4]
+    assert len(system.chords) == 3
+
+
+def reference_coset_system(g, greedy):
+    """Chords, indices and rescaled flows of a coset system, each flow by
+    the per-edge rational solve in the current subgraph."""
+    remaining = list(g.basic_flows())
+    chords, indices, rescaled = [], [], []
+    sub = g
+    while remaining:
+        mat = [list(row) for row in sub.incidence_rows()]
+        best = None
+        for c in remaining:
+            chi = min_norm_affine_rational(mat, sub.position(c), 1,
+                                           sub.num_edges)
+            r = lcm(*(x.denominator for x in chi))
+            if best is None or r < best[0]:
+                best = (r, c, chi)
+            if not greedy or r == 1:
+                break
+        r, c, chi = best
+        remaining.remove(c)
+        phi = [0] * g.num_edges
+        for eid, x in zip(sub.edge_ids, chi):
+            phi[g.position(eid)] = int(x * r)
+        chords.append(c)
+        indices.append(r)
+        rescaled.append(tuple(phi))
+        sub = sub.delete([c])
+    return tuple(chords), tuple(indices), tuple(rescaled)
+
+
+def test_coset_system_matches_the_rational_solve(corpus5, fig1_left,
+                                                 fig1_right):
+    for g in [fig1_left, fig1_right, *corpus5]:
+        for greedy in (False, True):
+            system = coset_system(g, greedy=greedy)
+            assert (system.chords, system.indices, system.rescaled) == \
+                reference_coset_system(g, greedy), g.edges
 
 
 def test_lattice_examples():
@@ -249,6 +331,37 @@ def test_theta_enumerate_rejects_a_vector_above_the_bound(monkeypatch):
     assert "norm 3 > 2" in str(info.value)
 
 
+def test_theta_enumerate_rechecks_the_cross_term(monkeypatch):
+    # Gram [[2, 1], [1, 2]]: (1, 1) has norm 2 + 2 * 1 + 2 = 6, above the
+    # bound 5, after (-1, 1) of norm 2 with another first coordinate and
+    # the same rest
+    g = dipole_graph(3)
+    monkeypatch.setattr(lattice_mod, "enumerate_by_norm",
+                        lambda gram, bound: [(0, 0), (-1, 1), (1, 1)])
+    with pytest.raises(CheckError, match="enumeration bound") as info:
+        theta_enumerate(g, 5)
+    assert "vector (1, 1) has norm 6 > 5" in str(info.value)
+
+
+def test_theta_enumerate_does_not_depend_on_the_vector_order(monkeypatch,
+                                                             fig1_left):
+    real = lattice_mod.enumerate_by_norm
+    for g in (complete_graph(4), dipole_graph(3), fig1_left):
+        gram = lattice(g).gram
+        vectors = real([list(row) for row in gram], 9)
+        norms = Counter(sum(x * y * gram[i][j]
+                            for i, x in enumerate(v) for j, y in enumerate(v))
+                        for v in vectors)
+        expect = QSeries.from_dict(dict(norms), 9)
+        assert theta_enumerate(g, 9) == expect
+        shuffled = list(vectors)
+        random.Random(7).shuffle(shuffled)
+        monkeypatch.setattr(lattice_mod, "enumerate_by_norm",
+                            lambda gram, bound: shuffled)
+        assert theta_enumerate(g, 9) == expect
+        monkeypatch.undo()
+
+
 def test_potential_norm_check_names_stage_and_graph(monkeypatch):
     g = cycle_graph(3)
     monkeypatch.setattr(lattice_mod, "_integrate_potential",
@@ -259,11 +372,21 @@ def test_potential_norm_check_names_stage_and_graph(monkeypatch):
     assert str(list(g.edges)) in str(info.value)
 
 
-def test_potential_difference_check_names_stage_and_graph(monkeypatch):
+@pytest.fixture
+def fresh_projection():
+    """An empty projection cache before and after the test, so that a
+    patched solve is neither bypassed nor left behind for other tests."""
+    lattice_mod._projection.cache_clear()
+    yield
+    lattice_mod._projection.cache_clear()
+
+
+def test_potential_difference_check_names_stage_and_graph(monkeypatch,
+                                                          fresh_projection):
     g = dipole_graph(3)
     # a vector that is no flow: the potential cannot fit both other edges
     monkeypatch.setattr(lattice_mod, "min_norm_affine",
-                        lambda mat, i, value, ncols: [F(0), F(0), F(1)])
+                        lambda mat, ncols: (1, ((1, 0, 1),) * ncols))
     with pytest.raises(CheckError, match="potential difference") as info:
         characteristic_flow(g, g.edge_ids[0])
     assert str(list(g.edges)) in str(info.value)

@@ -7,14 +7,15 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
-from flowalg.errors import InfeasibleError, InputError
+from flowalg.errors import InputError
 from flowalg.graph import build, complete_graph, cycle_graph
 from flowalg.relations import relation_matrix
 from flowalg.linalg import (det_int, enumerate_by_norm, hermite_rows,
                             integer_kernel_basis, min_norm_affine,
                             rank_int_rows, smith_normal_form)
 
-from conftest import dense, reference_hermite_rows, rref, sparse, to_dense
+from conftest import (dense, min_norm_affine_rational, reference_hermite_rows,
+                      rref, sparse, to_dense)
 
 F = Fraction
 
@@ -220,81 +221,61 @@ def test_integer_kernel_basis_property(mat):
 
 
 def test_min_norm_affine_examples():
-    assert min_norm_affine([], 0, 1, 1) == [F(1)]
-    point = min_norm_affine(triangle_incidence(), 0, 1, 3)
-    assert [abs(x) for x in point] == [1, 1, 1]
-    assert sum(x * x for x in point) == 3
-    assert min_norm_affine([[1, -1, 0]], 0, 2, 3) == [F(2), F(2), F(0)]
-    assert min_norm_affine([[1, 1, 1]], 2, 1, 3) == [F(-1, 2), F(-1, 2), F(1)]
-    assert min_norm_affine([[1, 1]], 1, 0, 2) == [F(0), F(0)]
+    assert min_norm_affine([], 1) == (1, ((1,),))
+    den, u = min_norm_affine(triangle_incidence(), 3)
+    assert den == 3
+    assert all([abs(x) for x in ui] == [1, 1, 1] for ui in u)
+    assert min_norm_affine([[1, -1, 0]], 3) == (2, ((1, 1, 0), (1, 1, 0),
+                                                    (0, 0, 2)))
+    assert min_norm_affine([[1, 1, 1]], 3) == (3, ((2, -1, -1), (-1, 2, -1),
+                                                   (-1, -1, 2)))
+    assert min_norm_affine([[1, 1]], 2) == (2, ((1, -1), (-1, 1)))
 
 
-def test_min_norm_infeasible():
-    with pytest.raises(InfeasibleError):
-        min_norm_affine([[1, 0], [0, 1]], 0, 1, 2)
-    with pytest.raises(InputError):
-        min_norm_affine([[1, 1]], 2, 1, 2)
+def test_min_norm_affine_vanishes_where_the_kernel_does():
+    # every kernel vector vanishes at a coordinate exactly when its
+    # projection is zero: only the value 0 can be fixed there
+    assert min_norm_affine([[1, 0], [0, 1]], 2) == (1, ((0, 0), (0, 0)))
+    den, u = min_norm_affine([[1, 0, 0], [0, 1, 1]], 3)
+    assert u[0] == (0, 0, 0)
+    assert u[1][1] > 0 and u[2][2] > 0
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda ncols: st.tuples(
-    st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols),
-             max_size=4),
-    st.integers(0, ncols - 1), st.integers(-3, 3), st.just(ncols))))
-def test_min_norm_orthogonality_property(case):
-    """The point lies on the affine set and is orthogonal to its direction
-    space, the vectors of ker(mat) that vanish at i; it exists exactly when
-    the value is 0 or some vector of ker(mat) is nonzero at i."""
-    mat, i, value, ncols = case
-    unit = [int(c == i) for c in range(ncols)]
+@given(_small_int_matrices())
+def test_min_norm_orthogonality_property(mat):
+    """With (den, u) = min_norm_affine(mat), den > 0 and each u_i is the
+    integer vector den P e_i: it lies in ker(mat), and u_i - den e_i is
+    orthogonal to ker(mat), so <u_i, k> = den k_i for every kernel vector
+    k.  So u_i is the multiple of P e_i that its name says, and u is
+    symmetric."""
+    ncols = len(mat[0]) if mat else 3
     cols = range(ncols)
-    directions = to_dense(integer_kernel_basis(sparse(mat + [unit]), cols),
-                          cols)
     kernel = to_dense(integer_kernel_basis(sparse(mat), cols), cols)
-    feasible = value == 0 or any(v[i] for v in kernel)
-    if not feasible:
-        with pytest.raises(InfeasibleError):
-            min_norm_affine(mat, i, value, ncols)
-        return
-    x = min_norm_affine(mat, i, value, ncols)
-    assert all(type(a) is F for a in x)
-    assert x[i] == value
-    assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in mat)
-    assert all(sum(a * b for a, b in zip(v, x)) == 0 for v in directions)
+    den, u = min_norm_affine(mat, ncols)
+    assert den > 0
+    assert len(u) == ncols
+    for i, ui in enumerate(u):
+        assert all(type(x) is int for x in ui)
+        assert all(sum(a * b for a, b in zip(row, ui)) == 0 for row in mat)
+        assert all(sum(a * b for a, b in zip(k, ui)) == den * k[i]
+                   for k in kernel)
+        assert all(ui[c] == u[c][i] for c in cols)
 
 
-def min_norm_affine_rational(mat, i, value, ncols):
-    """The same point by a rational solve: one ``rref`` of
-    [mat mat^T | mat e_i], free variables 0, then value P e_i / (P e_i)_i."""
-    if not 0 <= i < ncols:
-        raise InputError(f"fixed coordinate {i} out of range")
-    value = F(value)
-    r = len(mat)
-    red, pivots = rref([[sum(a * b for a, b in zip(r1, r2)) for r2 in mat]
-                        + [r1[i]] for r1 in mat])
-    y = [F(0)] * r
-    for k, p in enumerate(pivots):
-        y[p] = red[k][r]
-    proj = [int(c == i) - sum(y[k] * mat[k][c] for k in range(r))
-            for c in range(ncols)]
-    if proj[i] == 0:
-        if value:
-            raise InfeasibleError(f"every point of the kernel vanishes at {i}")
-        return [F(0)] * ncols
-    return [x * value / proj[i] for x in proj]
+def point_from_projection(mat, i, value, ncols):
+    """The minimum-norm point with x_i = value read from the projection
+    rows of ``min_norm_affine``, or None where it does not exist."""
+    _, u = min_norm_affine(mat, ncols)
+    if u[i][i] == 0:
+        return [F(0)] * ncols if value == 0 else None
+    return [x * F(value) / u[i][i] for x in u[i]]
 
 
 def _same_min_norm_point(mat, i, value, ncols):
-    try:
-        expected = min_norm_affine_rational(mat, i, value, ncols)
-    except InfeasibleError:
-        with pytest.raises(InfeasibleError):
-            min_norm_affine(mat, i, value, ncols)
-        return False
-    got = min_norm_affine(mat, i, value, ncols)
-    assert got == expected
-    assert all(type(x) is F for x in got)
-    return True
+    expected = min_norm_affine_rational(mat, i, value, ncols)
+    assert point_from_projection(mat, i, value, ncols) == expected
+    return expected is not None
 
 
 @settings(max_examples=200, deadline=None)

@@ -110,6 +110,15 @@ def test_relation_matrix_degree_zero_builds_no_class_table():
     assert _class_table.cache_info().misses == misses
 
 
+def test_relation_matrix_degree_one_builds_no_class_table():
+    # degree 1 reads only the empty mask, whose classes are the vertices
+    g = build([(i, i, i % 10 + 1) for i in range(1, 11)]
+              + [(10 + i, i, (i + 2) % 10 + 1) for i in range(1, 11)])
+    misses = _class_table.cache_info().misses
+    assert relation_matrix(g, 1) == contraction_reference(g, 1)
+    assert _class_table.cache_info().misses == misses
+
+
 def test_relation_matrix_triangle_degree_one():
     rel = relation_matrix(cycle_graph(3), 1)
     assert len(rel.rows) == 3
