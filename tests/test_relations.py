@@ -101,21 +101,22 @@ def test_relation_matrix_degree_zero_is_empty():
     assert rel.basis == (0,)
 
 
+# C10 plus the chords i -> i+3: a class table would have 2^20 masks
+C10_CHORDS = build([(i, i, i % 10 + 1) for i in range(1, 11)]
+                   + [(10 + i, i, (i + 2) % 10 + 1) for i in range(1, 11)])
+
+
 def test_relation_matrix_degree_zero_builds_no_class_table():
-    # C10 plus the chords i -> i+3: a class table would have 2^20 masks
-    g = build([(i, i, i % 10 + 1) for i in range(1, 11)]
-              + [(10 + i, i, (i + 2) % 10 + 1) for i in range(1, 11)])
     misses = _class_table.cache_info().misses
-    assert relation_matrix(g, 0) == RelationMatrix((0,), (), ())
+    assert relation_matrix(C10_CHORDS, 0) == RelationMatrix((0,), (), ())
     assert _class_table.cache_info().misses == misses
 
 
 def test_relation_matrix_degree_one_builds_no_class_table():
     # degree 1 reads only the empty mask, whose classes are the vertices
-    g = build([(i, i, i % 10 + 1) for i in range(1, 11)]
-              + [(10 + i, i, (i + 2) % 10 + 1) for i in range(1, 11)])
     misses = _class_table.cache_info().misses
-    assert relation_matrix(g, 1) == contraction_reference(g, 1)
+    assert (relation_matrix(C10_CHORDS, 1)
+            == contraction_reference(C10_CHORDS, 1))
     assert _class_table.cache_info().misses == misses
 
 
