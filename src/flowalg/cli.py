@@ -6,7 +6,16 @@ order fixes the reference orientation and every deterministic tie-break.
 Reports are JSON documents with a fixed field order; rationals are printed
 exactly as ``p/q`` strings and no floating point appears anywhere.
 
-Exit codes: 0 success, 1 check failure, 2 input error, 3 capacity error.
+All commands share one report path.  A ``_cmd_*`` function takes the parsed
+arguments and returns ``(results, report)``: its results, and the
+``CheckReport`` of the checks it ran, or None if it runs none.  ``main``
+alone builds the document (``command``, ``inputs`` with the SHA-256 of each
+graph file the subcommand declares, ``results``, ``checks`` when there is a
+report, ``elapsed_ms``) and picks the exit code.
+
+Exit codes: 0 success; 1 a non-exploratory check in the report failed, or a
+``CheckError`` was raised; 2 input error; 3 capacity error.  Exploratory
+failures never change the exit code.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .lattice import (characteristic_flow, codichromatic_compare,
                       theta_product)
 from .circulation import monomial_dimensions
 from .relations import product_torsion, rank_sequence
+from .report import CheckReport
 from .tutte import complexity, poincare, tutte
 from .verify import run_corpus, trimmed, verify_graph
 
@@ -94,10 +104,6 @@ def _series(series) -> list:
     return [[_frac(e), c] for e, c in series.terms]
 
 
-def _bipoly(p) -> list:
-    return [[i, j, c] for (i, j), c in p.sorted_items()]
-
-
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -105,67 +111,42 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _document(command: str, paths: list[str], results: dict,
-              checks: list | None, started: float) -> dict:
-    doc = {
-        "command": command,
-        "inputs": [{"path": p, "sha256": _digest(p)} for p in paths],
-        "results": results,
-    }
-    if checks is not None:
-        doc["checks"] = checks
-    doc["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-    return doc
-
-
 # -- command implementations -------------------------------------------------
 
 
-def _cmd_tutte(args, started):
-    g = parse_graph(args.file)
-    t = tutte(g)
-    results = {
-        "tutte": _bipoly(t),
+def _cmd_tutte(args):
+    t = tutte(parse_graph(args.file))
+    return {
+        "tutte": [[i, j, c] for (i, j), c in t.sorted_items()],
         "t_1_1": int(t(1, 1)),
         "t_1_2": int(t(1, 2)),
-    }
-    return _document("tutte", [args.file], results, None, started), EXIT_OK
+    }, None
 
 
-def _cmd_poincare(args, started):
+def _cmd_poincare(args):
+    return {"poincare": poincare(parse_graph(args.file))}, None
+
+
+def _cmd_ranks(args):
     g = parse_graph(args.file)
-    results = {"poincare": poincare(g)}
-    return _document("poincare", [args.file], results, None, started), EXIT_OK
+    routes = {"tutte": poincare, "relations": rank_sequence,
+              "monomials": monomial_dimensions}
+    results = {name: list(trimmed(route(g)))
+               for name, route in routes.items()
+               if args.oracle in (name, "all")}
+    if args.oracle != "all":
+        return results, None
+    report = CheckReport()
+    report.add("oracle-agreement",
+               len({tuple(seq) for seq in results.values()}) == 1)
+    return results, report
 
 
-def _cmd_ranks(args, started):
-    g = parse_graph(args.file)
-    results = {}
-    sequences = {}
-    if args.oracle in ("tutte", "all"):
-        sequences["tutte"] = trimmed(poincare(g))
-    if args.oracle in ("relations", "all"):
-        sequences["relations"] = trimmed(rank_sequence(g))
-    if args.oracle in ("monomials", "all"):
-        sequences["monomials"] = trimmed(monomial_dimensions(g))
-    for name, seq in sequences.items():
-        results[name] = list(seq)
-    checks = None
-    code = EXIT_OK
-    if args.oracle == "all":
-        agree = len(set(sequences.values())) == 1
-        checks = [{"check": "oracle-agreement",
-                   "status": "pass" if agree else "fail"}]
-        if not agree:
-            code = EXIT_CHECK_FAILURE
-    return _document("ranks", [args.file], results, checks, started), code
-
-
-def _cmd_lattice(args, started):
+def _cmd_lattice(args):
     g = parse_graph(args.file)
     lat = lattice(g)
     system = coset_system(g)
-    results = {
+    return {
         "chords": list(lat.chords),
         "basis": [list(b) for b in lat.basis],
         "gram": [list(row) for row in lat.gram],
@@ -174,17 +155,15 @@ def _cmd_lattice(args, started):
         "indices": list(system.indices),
         "weights": list(system.weights),
         "coset-size": prod(system.indices),
-    }
-    return _document("lattice", [args.file], results, None, started), EXIT_OK
+    }, None
 
 
-def _cmd_char_flow(args, started):
+def _cmd_char_flow(args):
     g = parse_graph(args.file)
     direction = -1 if args.reverse else 1
     flow = characteristic_flow(g, args.edge, direction)
     kappa = complexity(g)
     kappa_del = complexity(g.delete([args.edge]))
-    norm_ok = flow.norm == Fraction(kappa, kappa_del)
     results = {
         "edge": args.edge,
         "direction": direction,
@@ -193,51 +172,44 @@ def _cmd_char_flow(args, started):
         "potential": {str(v): _frac(p) for v, p in sorted(flow.potential.items())},
         "complexity-ratio": f"{kappa}/{kappa_del}",
     }
-    checks = [{"check": "norm-identity", "status": "pass" if norm_ok else "fail"}]
-    code = EXIT_OK if norm_ok else EXIT_CHECK_FAILURE
-    return _document("char-flow", [args.file], results, checks, started), code
+    report = CheckReport()
+    report.add("norm-identity", flow.norm == Fraction(kappa, kappa_del))
+    return results, report
 
 
-def _cmd_theta(args, started):
+def _cmd_theta(args):
     g = parse_graph(args.file)
     results = {"max-norm": args.max_norm}
-    checks = None
-    code = EXIT_OK
     if args.method in ("product", "both"):
         results["product"] = _series(theta_product(g, args.max_norm))
     if args.method in ("enumerate", "both"):
         results["enumerate"] = _series(theta_enumerate(g, args.max_norm))
-    if args.method == "both":
-        agree = results["product"] == results["enumerate"]
-        checks = [{"check": "theta-routes-agree",
-                   "status": "pass" if agree else "fail"}]
-        if not agree:
-            code = EXIT_CHECK_FAILURE
-    return _document("theta", [args.file], results, checks, started), code
+    if args.method != "both":
+        return results, None
+    report = CheckReport()
+    report.add("theta-routes-agree",
+               results["product"] == results["enumerate"])
+    return results, report
 
 
-def _cmd_flows_of_norm(args, started):
+def _cmd_flows_of_norm(args):
     g = parse_graph(args.file)
-    results = {"norm": args.norm, "count": flows_of_norm(g, args.norm)}
-    return _document("flows-of-norm", [args.file], results, None, started), EXIT_OK
+    return {"norm": args.norm, "count": flows_of_norm(g, args.norm)}, None
 
 
-def _cmd_compare(args, started):
-    g1 = parse_graph(args.file1)
-    g2 = parse_graph(args.file2)
-    rep = codichromatic_compare(g1, g2, args.max_norm)
+def _cmd_compare(args):
+    rep = codichromatic_compare(parse_graph(args.file1),
+                                parse_graph(args.file2), args.max_norm)
     first = rep["theta_first_difference"]
-    results = {
+    return {
         "tutte-equal": rep["tutte_equal"],
         "theta-first-difference": _frac(first) if first is not None else None,
         "theta-left": _series(rep["theta_left"]),
         "theta-right": _series(rep["theta_right"]),
-    }
-    return (_document("compare", [args.file1, args.file2], results, None,
-                      started), EXIT_OK)
+    }, None
 
 
-def _cmd_torsion(args, started):
+def _cmd_torsion(args):
     g = parse_graph(args.file)
     try:
         i_str, j_str = args.degrees.split(",")
@@ -246,35 +218,24 @@ def _cmd_torsion(args, started):
         raise InputError("--degrees expects two integers like 1,2") from None
     factors = product_torsion(g, i, j)
     group = " x ".join(f"Z/{f}" for f in factors) if factors else "trivial"
-    results = {"degrees": [i, j], "invariant-factors": list(factors),
-               "group": group}
-    return _document("torsion", [args.file], results, None, started), EXIT_OK
+    return {"degrees": [i, j], "invariant-factors": list(factors),
+            "group": group}, None
 
 
-def _cmd_verify(args, started):
+def _cmd_verify(args):
     g = parse_graph(args.file)
     report = verify_graph(g, theta_bound=args.max_norm,
                           trials=args.trials, deep=args.all)
-    results = {"graph-edges": g.num_edges, "graph-vertices": g.num_vertices}
-    code = EXIT_OK if report.passed else EXIT_CHECK_FAILURE
-    return (_document("verify", [args.file], results, report.as_dicts(),
-                      started), code)
+    return {"graph-edges": g.num_edges,
+            "graph-vertices": g.num_vertices}, report
 
 
-def _cmd_corpus(args, started):
-    summary = run_corpus(args.max_edges, theta_bound=args.max_norm,
+def _cmd_corpus(args):
+    results = run_corpus(args.max_edges, theta_bound=args.max_norm,
                          trials=args.trials, deep=args.all)
-    results = {
-        "graphs": summary["graphs"],
-        "max-edges": summary["max_edges"],
-        "checks-run": summary["checks_run"],
-        "failures": summary["failures"],
-        "exploratory-failures": summary["exploratory_failures"],
-    }
-    checks = [{"check": "corpus",
-               "status": "pass" if summary["passed"] else "fail"}]
-    code = EXIT_OK if summary["passed"] else EXIT_CHECK_FAILURE
-    return _document("corpus", [], results, checks, started), code
+    report = CheckReport()
+    report.add("corpus", not results["failures"])
+    return results, report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,77 +245,69 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of multigraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tutte", help="Tutte polynomial")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_tutte)
+    def command(name, func, summary, files=("file",)):
+        """A subcommand with its positional graph files, which ``main``
+        lists as the report's inputs."""
+        p = sub.add_parser(name, help=summary)
+        for f in files:
+            p.add_argument(f)
+        p.set_defaults(func=func, files=files)
+        return p
 
-    p = sub.add_parser("poincare", help="graded rank generating polynomial")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_poincare)
+    def max_norm(p):
+        p.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM)
 
-    p = sub.add_parser("ranks", help="rank sequence via one or all oracles")
-    p.add_argument("file")
+    command("tutte", _cmd_tutte, "Tutte polynomial")
+    command("poincare", _cmd_poincare, "graded rank generating polynomial")
+
+    p = command("ranks", _cmd_ranks, "rank sequence via one or all oracles")
     p.add_argument("--oracle", choices=["tutte", "relations", "monomials", "all"],
                    default="all")
-    p.set_defaults(func=_cmd_ranks)
 
-    p = sub.add_parser("lattice", help="integer flow lattice data")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_lattice)
+    command("lattice", _cmd_lattice, "integer flow lattice data")
 
-    p = sub.add_parser("char-flow", help="characteristic flow of an edge")
-    p.add_argument("file")
+    p = command("char-flow", _cmd_char_flow, "characteristic flow of an edge")
     p.add_argument("--edge", type=int, required=True)
     p.add_argument("--reverse", action="store_true")
-    p.set_defaults(func=_cmd_char_flow)
 
-    p = sub.add_parser("theta", help="theta series of the flow lattice")
-    p.add_argument("file")
-    p.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM)
+    p = command("theta", _cmd_theta, "theta series of the flow lattice")
+    max_norm(p)
     p.add_argument("--method", choices=["product", "enumerate", "both"],
                    default="both")
-    p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("flows-of-norm", help="count flows of one squared norm")
-    p.add_argument("file")
+    p = command("flows-of-norm", _cmd_flows_of_norm,
+                "count flows of one squared norm")
     p.add_argument("--norm", type=int, required=True)
-    p.set_defaults(func=_cmd_flows_of_norm)
 
-    p = sub.add_parser("compare", help="codichromatic comparison of two graphs")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM)
-    p.set_defaults(func=_cmd_compare)
+    p = command("compare", _cmd_compare,
+                "codichromatic comparison of two graphs", ("file1", "file2"))
+    max_norm(p)
 
-    p = sub.add_parser("torsion", help="product-quotient invariant factors")
-    p.add_argument("file")
+    p = command("torsion", _cmd_torsion, "product-quotient invariant factors")
     p.add_argument("--degrees", required=True, metavar="i,j")
-    p.set_defaults(func=_cmd_torsion)
 
-    p = sub.add_parser("verify", help="identity and inequality suite")
-    p.add_argument("file")
+    p = command("verify", _cmd_verify, "identity and inequality suite")
     p.add_argument("--all", action="store_true",
                    help="include the expensive structural checks")
-    p.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM)
+    max_norm(p)
     p.add_argument("--trials", type=int, default=0,
                    help="orientation-invariance trials")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("corpus", help="verify all small connected multigraphs")
+    p = command("corpus", _cmd_corpus,
+                "verify all small connected multigraphs", ())
     p.add_argument("--max-edges", type=int, default=DEFAULT_CORPUS_EDGES)
-    p.add_argument("--max-norm", type=int, default=DEFAULT_MAX_NORM)
+    max_norm(p)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--all", action="store_true")
-    p.set_defaults(func=_cmd_corpus)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, print its JSON document and return the exit code."""
+    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        doc, code = args.func(args, started)
+        results, report = args.func(args)
     except CapacityError as exc:
         print(json.dumps({"error": str(exc), "kind": "capacity"}, indent=2))
         return EXIT_CAPACITY
@@ -362,8 +315,19 @@ def main(argv=None) -> int:
         kind = "check" if isinstance(exc, CheckError) else "input"
         print(json.dumps({"error": str(exc), "kind": kind}, indent=2))
         return EXIT_CHECK_FAILURE if kind == "check" else EXIT_INPUT_ERROR
+    paths = [getattr(args, f) for f in args.files]
+    doc = {
+        "command": args.command,
+        "inputs": [{"path": p, "sha256": _digest(p)} for p in paths],
+        "results": results,
+    }
+    if report is not None:
+        doc["checks"] = report.as_dicts()
+    doc["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     print(json.dumps(doc, indent=2))
-    return code
+    if report is not None and not report.passed:
+        return EXIT_CHECK_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

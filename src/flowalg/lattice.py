@@ -214,7 +214,8 @@ def _next_chord(sub: Graph, remaining: list[int], greedy: bool):
     best = None
     for c in remaining:
         flow = characteristic_flow(sub, c)
-        r = flow.den // gcd(flow.den, *flow.num)
+        # characteristic_flow divides out gcd(u): num has gcd 1, so r = den
+        r = flow.den
         if best is None or r < best[0]:
             best = (r, c, flow)
         if not greedy or r == 1:

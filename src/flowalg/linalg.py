@@ -318,17 +318,6 @@ def ldl(gram: list[list[Fraction]]):
     return d, low
 
 
-def _int_range_sq(center: Fraction, bound: Fraction):
-    """All integers t with (t + center)^2 <= bound (bound >= 0)."""
-    a, b = center.numerator, center.denominator
-    p, q = bound.numerator, bound.denominator
-    s = isqrt(p * b * b // q) + 1
-    lo = -(s + a) // b - 1
-    hi = (s - a) // b + 1
-    return [t for t in range(lo, hi + 1)
-            if (t * b + a) ** 2 * q <= p * b * b]
-
-
 def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     """All integer coordinate vectors v with ``v^T gram v <= bound``.
 

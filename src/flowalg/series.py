@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InputError
-from .linalg import _int_range_sq
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,17 @@ class QSeries:
             else:
                 parts.append(f"{c}*q^{e}")
         return " + ".join(parts)
+
+
+def _int_range_sq(center: Fraction, bound: Fraction):
+    """All integers t with (t + center)^2 <= bound (bound >= 0)."""
+    a, b = center.numerator, center.denominator
+    p, q = bound.numerator, bound.denominator
+    s = isqrt(p * b * b // q) + 1
+    lo = -(s + a) // b - 1
+    hi = (s - a) // b + 1
+    return [t for t in range(lo, hi + 1)
+            if (t * b + a) ** 2 * q <= p * b * b]
 
 
 def psi_series(alpha, w: int, bound) -> QSeries:

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -11,8 +13,12 @@ import flowalg.errors as errors
 import flowalg.verify as verify
 from flowalg.cli import main, parse_graph
 from flowalg.errors import InputError
+from flowalg.report import CheckReport
+from flowalg.series import QSeries
 
 from conftest import is_loop
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +84,53 @@ def test_ranks_disagreement_exits_one(capsys, graph_dir, monkeypatch):
                         "--oracle", "all")
     assert code == 1
     assert doc["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("name, fake, argv, check", [
+    ("complexity", lambda g: 1, ("char-flow", "k4.g", "--edge", "1"),
+     "norm-identity"),
+    ("theta_enumerate", lambda g, bound: QSeries.one(bound),
+     ("theta", "c3.g", "--method", "both"), "theta-routes-agree"),
+], ids=["char-flow", "theta"])
+def test_failed_check_exits_one(capsys, graph_dir, monkeypatch, name, fake,
+                                argv, check):
+    monkeypatch.setattr(cli, name, fake)
+    command, graph, *options = argv
+    code, doc = run_cli(capsys, command, str(graph_dir / graph), *options)
+    assert code == 1
+    assert doc["checks"] == [{"check": check, "status": "fail"}]
+
+
+@pytest.mark.parametrize("exploratory, code, statuses", [
+    (True, 0, ["pass", "exploratory-fail"]),
+    (False, 1, ["pass", "fail"]),
+], ids=["exploratory", "not-exploratory"])
+def test_verify_exit_code_ignores_exploratory_failures(
+        capsys, graph_dir, monkeypatch, exploratory, code, statuses):
+    report = CheckReport()
+    report.add("a", True)
+    report.add("b", False, exploratory=exploratory)
+    monkeypatch.setattr(cli, "verify_graph", lambda g, **kw: report)
+    got, doc = run_cli(capsys, "verify", str(graph_dir / "c3.g"))
+    assert got == code
+    assert [c["status"] for c in doc["checks"]] == statuses
+
+
+@pytest.mark.parametrize("key, code", [("failures", 1),
+                                       ("exploratory-failures", 0)])
+def test_corpus_exit_code_follows_non_exploratory_failures(capsys,
+                                                           monkeypatch,
+                                                           key, code):
+    results = {"graphs": 1, "max-edges": 1, "checks-run": 1, "failures": [],
+               "exploratory-failures": []}
+    results[key] = [{"graph": [], "vertices": [1], "check": "c",
+                     "detail": ""}]
+    monkeypatch.setattr(cli, "run_corpus", lambda *a, **kw: results)
+    got, doc = run_cli(capsys, "corpus", "--max-edges", "1")
+    assert got == code
+    assert doc["results"] == results
+    assert doc["checks"] == [{"check": "corpus",
+                              "status": "fail" if code else "pass"}]
 
 
 def test_theta_both_methods(capsys, graph_dir):
@@ -244,3 +297,28 @@ def test_cli_import_does_not_load_numpy():
     code = ("import sys, flowalg.cli; "
             "assert 'numpy' not in sys.modules, 'numpy was imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _figure_commands():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_figure", ROOT / "perfbench" / "figure.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+def test_figure_reports_match_the_committed_reports(capsys, monkeypatch):
+    """The benchmark's figure commands, run in-process from the repository
+    root, print exactly the committed reports apart from ``elapsed_ms``,
+    with the top-level fields in document order."""
+    expected = json.loads(
+        (ROOT / "perfbench" / "expected_reports.json").read_text())
+    monkeypatch.chdir(ROOT)
+    for command in _figure_commands():
+        code, doc = run_cli(capsys, *shlex.split(command))
+        assert code == 0, command
+        checks = ["checks"] if "checks" in doc else []
+        assert list(doc) == (["command", "inputs", "results"] + checks
+                             + ["elapsed_ms"]), command
+        doc.pop("elapsed_ms")
+        assert doc == expected[command], command
