@@ -122,9 +122,6 @@ class Circulation:
     def is_zero(self) -> bool:
         return not self.table
 
-    def degrees(self) -> set[int]:
-        return {mask.bit_count() for mask in self.table}
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(mask.bit_count() == degree for mask in self.table)
 

@@ -13,6 +13,11 @@ alone builds the document (``command``, ``inputs`` with the SHA-256 of each
 graph file the subcommand declares, ``results``, ``checks`` when there is a
 report, ``elapsed_ms``) and picks the exit code.
 
+A ``_cmd_*`` function imports the library modules it runs when it is
+called, so a fresh process loads (and, without a bytecode cache, compiles)
+only those: ``poincare`` never loads the lattice, relation or circulation
+code.  ``elapsed_ms`` therefore includes the command's own imports.
+
 Exit codes: 0 success; 1 a non-exploratory check in the report failed, or a
 ``CheckError`` was raised; 2 input error; 3 capacity error.  Exploratory
 failures never change the exit code.
@@ -25,19 +30,10 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
-from math import prod
 
 from .errors import CapacityError, CheckError, FlowAlgError, InputError
 from .graph import Graph
-from .lattice import (characteristic_flow, codichromatic_compare,
-                      coset_system, flows_of_norm, lattice, theta_enumerate,
-                      theta_product)
-from .circulation import monomial_dimensions
-from .relations import product_torsion, rank_sequence
 from .report import CheckReport
-from .tutte import complexity, poincare, tutte
-from .verify import run_corpus, trimmed, verify_graph
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -97,6 +93,7 @@ def parse_graph(path: str) -> Graph:
 
 
 def _frac(x) -> str:
+    from fractions import Fraction
     return str(Fraction(x))
 
 
@@ -115,6 +112,7 @@ def _digest(path: str) -> str:
 
 
 def _cmd_tutte(args):
+    from .tutte import tutte
     t = tutte(parse_graph(args.file))
     return {
         "tutte": [[i, j, c] for (i, j), c in t.sorted_items()],
@@ -124,10 +122,14 @@ def _cmd_tutte(args):
 
 
 def _cmd_poincare(args):
+    from .tutte import poincare
     return {"poincare": poincare(parse_graph(args.file))}, None
 
 
 def _cmd_ranks(args):
+    from .circulation import monomial_dimensions
+    from .relations import rank_sequence
+    from .tutte import poincare, trimmed
     g = parse_graph(args.file)
     routes = {"tutte": poincare, "relations": rank_sequence,
               "monomials": monomial_dimensions}
@@ -143,6 +145,9 @@ def _cmd_ranks(args):
 
 
 def _cmd_lattice(args):
+    from math import prod
+    from .lattice import coset_system, lattice
+    from .tutte import complexity
     g = parse_graph(args.file)
     lat = lattice(g)
     system = coset_system(g)
@@ -159,6 +164,9 @@ def _cmd_lattice(args):
 
 
 def _cmd_char_flow(args):
+    from fractions import Fraction
+    from .lattice import characteristic_flow
+    from .tutte import complexity
     g = parse_graph(args.file)
     direction = -1 if args.reverse else 1
     flow = characteristic_flow(g, args.edge, direction)
@@ -178,6 +186,7 @@ def _cmd_char_flow(args):
 
 
 def _cmd_theta(args):
+    from .lattice import theta_enumerate, theta_product
     g = parse_graph(args.file)
     results = {"max-norm": args.max_norm}
     if args.method in ("product", "both"):
@@ -193,11 +202,13 @@ def _cmd_theta(args):
 
 
 def _cmd_flows_of_norm(args):
+    from .lattice import flows_of_norm
     g = parse_graph(args.file)
     return {"norm": args.norm, "count": flows_of_norm(g, args.norm)}, None
 
 
 def _cmd_compare(args):
+    from .lattice import codichromatic_compare
     rep = codichromatic_compare(parse_graph(args.file1),
                                 parse_graph(args.file2), args.max_norm)
     first = rep["theta_first_difference"]
@@ -210,6 +221,7 @@ def _cmd_compare(args):
 
 
 def _cmd_torsion(args):
+    from .relations import product_torsion
     g = parse_graph(args.file)
     try:
         i_str, j_str = args.degrees.split(",")
@@ -223,6 +235,7 @@ def _cmd_torsion(args):
 
 
 def _cmd_verify(args):
+    from .verify import verify_graph
     g = parse_graph(args.file)
     report = verify_graph(g, theta_bound=args.max_norm,
                           trials=args.trials, deep=args.all)
@@ -231,6 +244,7 @@ def _cmd_verify(args):
 
 
 def _cmd_corpus(args):
+    from .verify import run_corpus
     results = run_corpus(args.max_edges, theta_bound=args.max_norm,
                          trials=args.trials, deep=args.all)
     report = CheckReport()

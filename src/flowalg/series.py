@@ -34,14 +34,6 @@ class QSeries:
         items.sort()
         return QSeries(tuple(items), bound)
 
-    @staticmethod
-    def one(bound) -> "QSeries":
-        return QSeries(((Fraction(0), 1),), Fraction(bound))
-
-    @staticmethod
-    def zero(bound) -> "QSeries":
-        return QSeries((), Fraction(bound))
-
     def coefficient(self, exponent) -> int:
         exponent = Fraction(exponent)
         for e, c in self.terms:

@@ -32,14 +32,7 @@ from .linalg import rank_int_rows
 from .relations import (_class_table, _is_flipped_table,
                         integral_circulations, rank_sequence, torsion_check)
 from .report import CheckReport
-from .tutte import complexity, poincare
-
-
-def trimmed(seq) -> tuple[int, ...]:
-    out = list(seq)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+from .tutte import complexity, poincare, trimmed
 
 
 # -- per-graph verification --------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
 from flowalg.graph import Graph, _components, build
+from flowalg.series import QSeries
+from flowalg.tutte import BiPoly
 
 GRAPH_DIR = pathlib.Path(__file__).resolve().parent.parent / "graphs"
 
@@ -124,6 +126,27 @@ def ids_of(g, mask):
     """The ids of the edges of ``g`` at the set bits of ``mask``, in edge
     list order."""
     return tuple(eid for i, (eid, _, _) in enumerate(g.edges) if mask >> i & 1)
+
+
+def qseries_one(bound):
+    """The q-series 1, truncated at ``bound``."""
+    return QSeries(((Fraction(0), 1),), Fraction(bound))
+
+
+def qseries_zero(bound):
+    """The zero q-series, truncated at ``bound``."""
+    return QSeries((), Fraction(bound))
+
+
+def bipoly_one():
+    """The constant polynomial 1 in two variables."""
+    return BiPoly({(0, 0): 1})
+
+
+def degrees(circ):
+    """The set of degrees (subset sizes) on which a circulation has a
+    nonzero value."""
+    return {mask.bit_count() for mask in circ.table}
 
 
 def is_loop(g, eid):

@@ -20,8 +20,8 @@ from flowalg.graph import complete_graph, cycle_graph
 from flowalg.lattice import codichromatic_compare, flows_of_norm, theta_enumerate
 from flowalg.relations import product_torsion, rank_sequence
 from flowalg.series import QSeries
-from flowalg.tutte import poincare, tutte
-from flowalg.verify import orientation_invariance, trimmed, verify_graph
+from flowalg.tutte import poincare, trimmed, tutte
+from flowalg.verify import orientation_invariance, verify_graph
 
 
 def _report(n, ok, msg):

@@ -14,8 +14,7 @@ from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
                            path_graph)
-from flowalg.tutte import poincare
-from flowalg.verify import trimmed
+from flowalg.tutte import poincare, trimmed
 
 circulation_mod = importlib.import_module("flowalg.circulation")
 

@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -14,9 +15,8 @@ import flowalg.verify as verify
 from flowalg.cli import main, parse_graph
 from flowalg.errors import InputError
 from flowalg.report import CheckReport
-from flowalg.series import QSeries
 
-from conftest import is_loop
+from conftest import is_loop, qseries_one
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -79,22 +79,23 @@ def test_ranks_forest_all_oracles(capsys, graph_dir):
 
 
 def test_ranks_disagreement_exits_one(capsys, graph_dir, monkeypatch):
-    monkeypatch.setattr(cli, "rank_sequence", lambda g: (1, 9, 9, 9))
+    monkeypatch.setattr("flowalg.relations.rank_sequence",
+                        lambda g: (1, 9, 9, 9))
     code, doc = run_cli(capsys, "ranks", str(graph_dir / "c3.g"),
                         "--oracle", "all")
     assert code == 1
     assert doc["checks"][0]["status"] == "fail"
 
 
-@pytest.mark.parametrize("name, fake, argv, check", [
-    ("complexity", lambda g: 1, ("char-flow", "k4.g", "--edge", "1"),
-     "norm-identity"),
-    ("theta_enumerate", lambda g, bound: QSeries.one(bound),
+@pytest.mark.parametrize("target, fake, argv, check", [
+    ("flowalg.tutte.complexity", lambda g: 1,
+     ("char-flow", "k4.g", "--edge", "1"), "norm-identity"),
+    ("flowalg.lattice.theta_enumerate", lambda g, bound: qseries_one(bound),
      ("theta", "c3.g", "--method", "both"), "theta-routes-agree"),
 ], ids=["char-flow", "theta"])
-def test_failed_check_exits_one(capsys, graph_dir, monkeypatch, name, fake,
+def test_failed_check_exits_one(capsys, graph_dir, monkeypatch, target, fake,
                                 argv, check):
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(target, fake)
     command, graph, *options = argv
     code, doc = run_cli(capsys, command, str(graph_dir / graph), *options)
     assert code == 1
@@ -110,7 +111,7 @@ def test_verify_exit_code_ignores_exploratory_failures(
     report = CheckReport()
     report.add("a", True)
     report.add("b", False, exploratory=exploratory)
-    monkeypatch.setattr(cli, "verify_graph", lambda g, **kw: report)
+    monkeypatch.setattr(verify, "verify_graph", lambda g, **kw: report)
     got, doc = run_cli(capsys, "verify", str(graph_dir / "c3.g"))
     assert got == code
     assert [c["status"] for c in doc["checks"]] == statuses
@@ -125,7 +126,7 @@ def test_corpus_exit_code_follows_non_exploratory_failures(capsys,
                "exploratory-failures": []}
     results[key] = [{"graph": [], "vertices": [1], "check": "c",
                      "detail": ""}]
-    monkeypatch.setattr(cli, "run_corpus", lambda *a, **kw: results)
+    monkeypatch.setattr(verify, "run_corpus", lambda *a, **kw: results)
     got, doc = run_cli(capsys, "corpus", "--max-edges", "1")
     assert got == code
     assert doc["results"] == results
@@ -291,12 +292,60 @@ def test_report_determinism(capsys, graph_dir):
     assert json.dumps(doc1, sort_keys=False) == json.dumps(doc2, sort_keys=False)
 
 
-def test_cli_import_does_not_load_numpy():
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter from the repository root, with
+    this checkout's sources first on the import path; fail with its
+    standard error if it exits non-zero."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, flowalg.cli; "
-            "assert 'numpy' not in sys.modules, 'numpy was imported'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    run_fresh("import sys, flowalg.cli; "
+              "assert 'numpy' not in sys.modules, 'numpy was imported'")
+
+
+def test_commands_load_only_the_modules_they_run():
+    run_fresh("""
+        import sys
+        import flowalg.cli
+
+        def loaded():
+            return {name.split(".", 1)[1] for name in sys.modules
+                    if name.startswith("flowalg.")}
+
+        assert loaded() == {"cli", "errors", "graph", "report"}, loaded()
+        assert flowalg.cli.main(["poincare", "graphs/k4.g"]) == 0
+        skipped = {"lattice", "relations", "circulation", "verify", "corpus",
+                   "linalg", "series"}
+        assert not loaded() & skipped, loaded() & skipped
+        """)
+
+
+def test_package_names_resolve_to_their_home_modules():
+    """Each exported name is the object of that name in its home module,
+    and ``flowalg.tutte`` and ``flowalg.lattice`` are the submodules, not
+    the functions of the same name."""
+    run_fresh("""
+        import importlib
+        import inspect
+        import flowalg
+        import flowalg.lattice as lattice_mod
+        from flowalg.tutte import tutte
+
+        assert inspect.ismodule(lattice_mod), lattice_mod
+        assert tutte.__module__ == "flowalg.tutte"
+        for name in flowalg.__all__:
+            home = importlib.import_module(f"flowalg.{flowalg._HOME[name]}")
+            assert getattr(flowalg, name) is getattr(home, name), name
+        assert flowalg.lattice is lattice_mod
+        assert inspect.ismodule(flowalg.tutte)
+        assert {"lattice", "tutte"}.isdisjoint(flowalg.__all__)
+        """)
 
 
 def _figure_commands():

@@ -1,4 +1,3 @@
-import importlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import flowalg.errors as errors
+import flowalg.lattice as lattice_mod
 from flowalg.cli import parse_graph
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
@@ -19,12 +19,10 @@ from flowalg.lattice import (characteristic_flow, codichromatic_compare,
 from flowalg.series import QSeries
 from flowalg.tutte import complexity
 
-from conftest import (min_norm_affine_rational, reference_is_cut_edge,
-                      small_multigraphs)
+from conftest import (min_norm_affine_rational, qseries_one, qseries_zero,
+                      reference_is_cut_edge, small_multigraphs)
 
 F = Fraction
-# the package re-exports the function ``lattice`` under the module's name
-lattice_mod = importlib.import_module("flowalg.lattice")
 
 
 def test_characteristic_flow_triangle():
@@ -199,12 +197,12 @@ def test_theta_double_edge():
 
 
 def test_theta_forest_is_one():
-    assert theta_product(path_graph(4), 6) == QSeries.one(6)
-    assert theta_enumerate(path_graph(4), 6) == QSeries.one(6)
+    assert theta_product(path_graph(4), 6) == qseries_one(6)
+    assert theta_enumerate(path_graph(4), 6) == qseries_one(6)
 
 
 def test_theta_zero_bound():
-    assert theta_enumerate(complete_graph(4), 0) == QSeries.one(0)
+    assert theta_enumerate(complete_graph(4), 0) == qseries_one(0)
 
 
 def test_k4_norm_three_flows():
@@ -299,7 +297,7 @@ def test_coset_check_error_names_stage_and_graph(monkeypatch):
 def test_theta_check_error_names_stage_and_graph(monkeypatch):
     g = cycle_graph(3)
     monkeypatch.setattr(lattice_mod, "psi_series",
-                        lambda alpha, w, bound: QSeries.zero(bound))
+                        lambda alpha, w, bound: qseries_zero(bound))
     with pytest.raises(CheckError, match="constant term") as info:
         theta_product(g, 6)
     assert str(list(g.edges)) in str(info.value)

@@ -1,10 +1,10 @@
-import importlib
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 
 import flowalg.errors as errors
+import flowalg.tutte as tutte_mod
 from flowalg.errors import CheckError
 from flowalg.graph import (Graph, _components, bouquet_graph, build,
                            complete_graph, cycle_graph, dipole_graph,
@@ -12,10 +12,7 @@ from flowalg.graph import (Graph, _components, bouquet_graph, build,
 from flowalg.tutte import (BiPoly, complexity, count_spanning_forests,
                            poincare, tutte, tutte_by_subsets)
 
-from conftest import small_multigraphs
-
-# the package re-exports the function ``tutte`` under the module's name
-tutte_mod = importlib.import_module("flowalg.tutte")
+from conftest import bipoly_one, small_multigraphs
 
 
 def test_tutte_base_cases():
@@ -65,7 +62,7 @@ def test_complexity_matches_direct_count():
 
 def test_null_graph_conventions():
     null = Graph((), ())
-    assert tutte(null) == BiPoly.one()
+    assert tutte(null) == bipoly_one()
     assert poincare(null) == [1]
     assert complexity(null) == 1
 
@@ -190,7 +187,7 @@ def test_a_disagreement_is_never_recorded(monkeypatch):
     g = complete_graph(4)
     tutte_mod.clear_cache()
     monkeypatch.setattr(tutte_mod, "_tutte_rec",
-                        lambda graph, key: BiPoly.one())
+                        lambda graph, key: bipoly_one())
     for _ in range(2):
         with pytest.raises(CheckError, match="subset sum") as info:
             tutte(g)
