@@ -219,6 +219,29 @@ class Graph:
                             found.append(block)
         return tuple(sorted(bridges)), tuple(tuple(sorted(b)) for b in found)
 
+    @cached_property
+    def normal_form(self) -> bytes:
+        """Exact key of the graph up to relabeling and orientation: drop
+        isolated vertices, relabel the rest 0..n-1 by ascending original
+        id, and write each edge {i, j}, i <= j, as the code i * n + j.  The
+        key is n, then the sorted codes, one byte each while n <= 16 (every
+        code is then below 256).  Above that the first byte is 16 + w, and
+        n and the codes follow in w bytes each, big-endian, w the fewest
+        that hold n * n - 1.  The first byte alone tells the two layouts
+        apart, so equal keys mean equal graphs up to relabeling.  Cached, so
+        every use of one graph object shares one key object; the Tutte memo
+        is keyed by it (see :func:`flowalg.tutte._normal_form`)."""
+        used = sorted({v for _, t, h in self.edges for v in (t, h)})
+        n = len(used)
+        index = {v: i for i, v in enumerate(used)}
+        codes = sorted(min(index[t], index[h]) * n + max(index[t], index[h])
+                       for _, t, h in self.edges)
+        if n <= 16:
+            return bytes((n, *codes))
+        width = ((n * n - 1).bit_length() + 7) // 8
+        return bytes((16 + width,)) + b"".join(
+            c.to_bytes(width, "big") for c in (n, *codes))
+
     def maximal_forest(self) -> frozenset[int]:
         """Deterministic spanning forest: greedy over ascending edge id,
         skipping loops and cycle-closing edges."""

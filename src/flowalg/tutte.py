@@ -7,7 +7,11 @@ is not one 2-connected block is the product of those factors and the T of
 each block of two or more edges (the bridges and blocks come from one
 depth-first search, :attr:`Graph.blocks`).  Only a single block is split,
 on its lowest edge id.  The memo holds the single blocks and the block
-products, each under its :func:`_normal_form` key.  Two independent
+products, each under its :func:`_normal_form` key, a byte string that
+each graph object computes once (:attr:`Graph.normal_form`).  Stored
+polynomials share one ``(i, j)`` tuple per exponent pair, and each check
+records the keys it has confirmed in a set of its own, so an entry costs
+little beyond its key and its coefficients.  Two independent
 oracles check it on every graph up to the capacity ceiling of
 ``MAX_SUBSET_EDGES`` edges: a corank-nullity subset sum checks the Tutte
 polynomial, and a direct count of maximal forests checks T(1, 1).  The subset
@@ -51,7 +55,8 @@ class BiPoly:
             for (i2, j2), c2 in other.coeffs.items():
                 k = (i1 + i2, j1 + j2)
                 acc[k] = acc.get(k, 0) + c1 * c2
-        return BiPoly(acc)
+        share = _exponents.setdefault
+        return BiPoly({share(k, k): c for k, c in acc.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.coeffs == other.coeffs
@@ -70,28 +75,40 @@ class BiPoly:
 # ever inserted, values are immutable, and dict get/set are atomic under
 # the GIL, so concurrent use is safe; worst case two threads compute the
 # same polynomial once each.
-_memo: dict[tuple, BiPoly] = {}
+_memo: dict[bytes, BiPoly] = {}
 
-# (check, key) pairs whose recursion result that check's oracle has
+# One (i, j) tuple per exponent pair, shared by the coefficients of every
+# product and monomial the recursion builds, so stored polynomials do not
+# each hold their own copies.  ``__add__`` keeps its summands' keys.
+_exponents: dict[tuple[int, int], tuple[int, int]] = {}
+
+# Per check, the keys whose recursion result that check's oracle has
 # confirmed: "subset sum" for the Tutte polynomial, "forest count" for
-# T(1, 1).  A pair is added only after the two routes agree.
-_verified: set[tuple[str, tuple]] = set()
+# T(1, 1).  A key is added only after the two routes agree.
+_verified: dict[str, set[bytes]] = {"subset sum": set(),
+                                    "forest count": set()}
 
 
 def clear_cache() -> None:
     _memo.clear()
-    _verified.clear()
+    for keys in _verified.values():
+        keys.clear()
 
 
-def _normal_form(g: Graph) -> tuple:
-    """Exact canonical key: drop isolated vertices, relabel the rest by
-    ascending original id, sort the undirected edge multiset.  Equal keys
-    imply equal graphs up to relabeling, so a cache hit is always sound.
+def _normal_form(g: Graph) -> bytes:
+    """Exact key of g for the memo and the oracle records: drop isolated
+    vertices, relabel the rest by ascending original id, sort the
+    undirected edge multiset.  Equal keys imply equal graphs up to
+    relabeling, so a cache hit is always sound.
 
-    The key is the number n of vertices kept, then each edge {i, j} with
-    i <= j as the single integer i * n + j: the memo holds one key per graph
-    it has seen, and flat small integers take a fraction of the memory of
-    a tuple of pairs.
+    The key is :attr:`Graph.normal_form`: the number n of vertices kept,
+    then each edge {i, j} with i <= j as the code i * n + j, sorted, one
+    byte each while n <= 16 and a wider fixed width above that.  It is a
+    byte string because the memo holds one key per graph it has seen: a
+    7-edge graph's key takes 41 B, where the tuple of its eight integers took
+    104 B, and bytes cache their hash.  It is computed once per graph
+    object, so ``tutte(g)``, ``complexity(g)``, the memo and both oracle
+    records share one key object.
 
     The key depends on the labels, so isomorphic minors are computed
     again.  An isomorphism-invariant key (``corpus.canonical_key``) does
@@ -103,15 +120,10 @@ def _normal_form(g: Graph) -> tuple:
     took 1.2-1.5x the CPU time with it.  It pays on larger symmetric
     graphs: on C13 plus the chords i -> i+3 (26 edges) the recursion took
     1.06 s against 2.03 s, with 3,015 memo entries against 25,816."""
-    used = sorted({v for _, t, h in g.edges for v in (t, h)})
-    n = len(used)
-    index = {v: i for i, v in enumerate(used)}
-    codes = sorted(min(index[t], index[h]) * n + max(index[t], index[h])
-                   for _, t, h in g.edges)
-    return (n, *codes)
+    return g.normal_form
 
 
-def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
+def _tutte_rec(g: Graph, key: bytes) -> BiPoly:
     # ``key`` is ``_normal_form(g)``.  Equal keys mean isomorphic graphs, so
     # a hit is sound before the block search.  Block products and single
     # blocks are stored (see the module docstring); a graph of only bridges
@@ -125,7 +137,8 @@ def _tutte_rec(g: Graph, key: tuple) -> BiPoly:
     if len(blocks) == 1 and not bridges and not loops:
         result = _split(g)
     else:
-        result = BiPoly({(len(bridges), loops): 1})
+        k = (len(bridges), loops)
+        result = BiPoly({_exponents.setdefault(k, k): 1})
         if not blocks:
             return result
         by_id = g._by_id
@@ -260,9 +273,7 @@ def poincare(g: Graph) -> list[int]:
         for s in range(j + 1):
             acc[base + s] = acc.get(base + s, 0) + c * comb(j, s)
     degree = max(acc) if acc else 0
-    coeffs = [acc.get(d, 0) for d in range(degree + 1)]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = list(trimmed(acc.get(d, 0) for d in range(degree + 1)))
     if any(c < 0 for c in coeffs) or (coeffs and coeffs[0] != 1):
         raise check_failed(
             g, "Poincare shape",
@@ -300,14 +311,15 @@ def complexity(g: Graph) -> int:
     return kappa
 
 
-def _cross_check(g: Graph, key: tuple, check: str, value, oracle) -> None:
+def _cross_check(g: Graph, key: bytes, check: str, value, oracle) -> None:
     """Compare the recursion's ``value`` for g (``key`` is its normal form)
     with ``oracle(g)`` up to ``MAX_SUBSET_EDGES`` edges, unless ``check``
     has already confirmed that key; record the key once the two agree."""
-    if g.num_edges > errors.MAX_SUBSET_EDGES or (check, key) in _verified:
+    confirmed = _verified[check]
+    if g.num_edges > errors.MAX_SUBSET_EDGES or key in confirmed:
         return
     expected = oracle(g)
     if expected != value:
         raise check_failed(g, check, f"deletion-contraction gives {value!r}, "
                                      f"the oracle gives {expected!r}")
-    _verified.add((check, key))
+    confirmed.add(key)

@@ -174,13 +174,77 @@ def test_oracles_check_graphs_up_to_the_capacity_ceiling(monkeypatch):
     tutte_mod.clear_cache()
     tutte(g)
     complexity(g)
-    assert tutte_mod._verified == {("subset sum", key), ("forest count", key)}
+    assert tutte_mod._verified == {"subset sum": {key}, "forest count": {key}}
     # the ceiling is read when the check runs
     monkeypatch.setattr(errors, "MAX_SUBSET_EDGES", 12)
     tutte_mod.clear_cache()
     tutte(g)
     complexity(g)
-    assert not tutte_mod._verified
+    assert not any(tutte_mod._verified.values())
+
+
+def _decoded(key):
+    """(n, codes) read back from a memo key."""
+    if key[0] <= 16:
+        return key[0], list(key[1:])
+    width = key[0] - 16
+    words = [int.from_bytes(key[i:i + width], "big")
+             for i in range(1, len(key), width)]
+    return words[0], words[1:]
+
+
+def test_key_ignores_labels_and_orientation():
+    g = build([(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 1, 3), (5, 2, 2)])
+    key = tutte_mod._normal_form(g)
+    assert isinstance(key, bytes)
+    # vertices and edges relabeled in order, the edges listed backwards,
+    # and an isolated vertex added
+    relabeled = build([(7 * e, 10 * t, 10 * h) for e, t, h in g.edges[::-1]],
+                      isolated=[99])
+    assert tutte_mod._normal_form(relabeled) == key
+    assert tutte_mod._normal_form(g.reorient([1, 4])) == key
+    # one edge's endpoints moved: 1-3 becomes 1-2
+    moved = build([(1, 1, 2), (2, 2, 3), (3, 3, 1), (4, 1, 2), (5, 2, 2)])
+    assert tutte_mod._normal_form(moved) != key
+    assert _decoded(key) == (3, sorted([1, 5, 2, 2, 4]))
+
+
+@pytest.mark.parametrize("g, dims", [
+    (path_graph(21), [1]),           # 20 edges, codes up to 419
+    (cycle_graph(17), [1] * 18),     # codes up to 15 * 17 + 16 = 271
+])
+def test_keys_past_one_byte_are_exact(g, dims):
+    key = tutte_mod._normal_form(g)
+    n = g.num_vertices
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    codes = sorted(min(index[t], index[h]) * n + max(index[t], index[h])
+                   for _, t, h in g.edges)
+    assert max(codes) > 255
+    assert _decoded(key) == (n, codes)
+    tutte_mod.clear_cache()
+    assert tutte(g) == tutte_by_subsets(g)
+    assert poincare(g) == dims
+    assert complexity(g) == count_spanning_forests(g)
+    assert tutte_mod._verified == {"subset sum": {key}, "forest count": {key}}
+
+
+def test_memo_entries_share_their_keys():
+    # K5 plus edges parallel to 1-3, 2-4 and 3-5: 13 edges
+    g = build(complete_graph(5).edges + ((11, 1, 3), (12, 2, 4), (13, 3, 5)))
+    tutte_mod.clear_cache()
+    tutte(g)
+    complexity(g)
+    key = tutte_mod._normal_form(g)
+    assert tutte_mod._normal_form(g) is key
+    [stored] = [k for k in tutte_mod._memo if k == key]
+    assert stored is key
+    for check in ("subset sum", "forest count"):
+        [recorded] = tutte_mod._verified[check]
+        assert recorded is key
+    # every stored polynomial holds the one shared tuple per (i, j)
+    terms = [k for t in tutte_mod._memo.values() for k in t.coeffs]
+    assert len(terms) > len(set(terms))
+    assert all(k is tutte_mod._exponents[k] for k in terms)
 
 
 def test_a_disagreement_is_never_recorded(monkeypatch):
