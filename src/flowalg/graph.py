@@ -12,7 +12,6 @@ All values are immutable; operations return new graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -21,12 +20,11 @@ from .errors import InputError
 Edge = tuple[int, int, int]  # (edge id, tail vertex, head vertex)
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[Edge, ...]):
+        # as in _derived: writing through __dict__ gives each graph a dict
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise InputError("duplicate vertex id")
@@ -47,6 +45,24 @@ class Graph:
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", edges)
         return g
+
+    # a value: immutable (``cached_property`` writes ``__dict__`` itself),
+    # equal and hashed by its vertex and edge tuples
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     # -- basic accessors -------------------------------------------------
 

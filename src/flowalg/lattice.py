@@ -32,11 +32,11 @@ mod the chord weights, merge (at most 36 of them on that graph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import errors
 from .errors import CapacityError, InputError, check_failed
@@ -46,19 +46,26 @@ from .series import QSeries, psi_series
 from .tutte import complexity, tutte
 
 
-@dataclass(frozen=True)
-class FlowLattice:
+class FlowLattice(NamedTuple):
     chords: tuple[int, ...]                    # non-forest edge ids, ascending
     basis: tuple[tuple[int, ...], ...]         # basic flows over edge positions
     gram: tuple[tuple[int, ...], ...]
     determinant: int
 
 
-@dataclass(frozen=True)
-class CharacteristicFlow:
+class _Flow(NamedTuple):
+    edge: int
+    direction: int
+    num: tuple[int, ...]
+    pot: dict[int, int]
+    den: int
+
+
+class CharacteristicFlow(_Flow):
     """Minimum-norm rational flow carrying unit value on one edge, held in
     integers: the numerators ``num`` of chi and ``pot`` of the potential,
-    over the one positive denominator ``den``, in lowest terms.
+    over the one positive denominator ``den``, in lowest terms.  The flow
+    keeps its own copy of ``pot``.
 
     ``chi`` is expressed in reference coordinates, so ``chi[e]`` equals
     ``direction`` (+1 along the stored arc, -1 against it).  ``potential``
@@ -66,14 +73,10 @@ class CharacteristicFlow:
     reproduces ``chi`` off the distinguished edge.  ``chi``, ``potential``
     and ``norm`` = <chi, chi> are exact ``Fraction``s built on demand.
     """
-    edge: int
-    direction: int
-    num: tuple[int, ...]
-    pot: dict[int, int]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pot", dict(self.pot))
+    def __new__(cls, edge, direction, num, pot, den):
+        return super().__new__(cls, edge, direction, num, dict(pot), den)
 
     @property
     def chi(self) -> tuple[Fraction, ...]:
@@ -88,8 +91,7 @@ class CharacteristicFlow:
         return Fraction(sum(x * x for x in self.num), self.den ** 2)
 
 
-@dataclass(frozen=True)
-class CosetSystem:
+class CosetSystem(NamedTuple):
     chords: tuple[int, ...]                       # in the order they were taken
     indices: tuple[int, ...]
     rescaled: tuple[tuple[int, ...], ...]         # phi_i = r_i * chi_i

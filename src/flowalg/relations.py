@@ -42,7 +42,6 @@ kernel basis and Smith form is the one of the positional matrix, relabelled.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -53,8 +52,7 @@ from .graph import Graph
 from .linalg import integer_kernel_basis, rank_int_rows, smith_normal_form
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(NamedTuple):
     """Signed incidence relations of all (j-1)-fold contractions, expressed
     over the degree-j subset basis.
 

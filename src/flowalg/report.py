@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -22,9 +21,14 @@ class CheckResult:
         return out
 
 
-@dataclass
 class CheckReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):  # unhashable, as it is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
 
     def add(self, name: str, passed: bool, detail: str = "",
             exploratory: bool = False) -> None:

@@ -8,15 +8,14 @@ rational <= N and zero coefficients are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(NamedTuple):
     terms: tuple[tuple[Fraction, int], ...]  # sorted by exponent
     bound: Fraction
 

@@ -326,6 +326,26 @@ def test_commands_load_only_the_modules_they_run():
         """)
 
 
+def test_cli_start_up_loads_no_dataclasses_and_no_openssl():
+    """``import flowalg.cli`` loads neither ``dataclasses`` (with
+    ``inspect``) nor ``hashlib``, and a command that reads no file never
+    loads ``hashlib``.  Only modules added by the import count, because
+    ``site`` may preload some on other machines."""
+    run_fresh("""
+        import io, sys
+        from contextlib import redirect_stdout
+
+        before = set(sys.modules)
+        import flowalg.cli
+        added = set(sys.modules) - before
+        assert not added & {"dataclasses", "inspect", "hashlib", "_hashlib"}, added
+        with redirect_stdout(io.StringIO()):
+            assert flowalg.cli.main(["corpus", "--max-edges", "2"]) == 0
+        added = set(sys.modules) - before
+        assert not added & {"hashlib", "_hashlib"}, added
+        """)
+
+
 def test_package_names_resolve_to_their_home_modules():
     """Each exported name is the object of that name in its home module,
     and ``flowalg.tutte`` and ``flowalg.lattice`` are the submodules, not

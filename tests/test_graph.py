@@ -16,6 +16,26 @@ def test_validation_rejects_bad_edges():
         Graph((1, 2), ((1, 1, 2), (1, 2, 1)))
 
 
+def test_graph_is_an_immutable_value():
+    g = cycle_graph(3)
+    # a copy built through the checks, and one derived by an operation
+    copies = [Graph(g.vertices, g.edges), g.reorient([2]).reorient([2])]
+    assert g.edge_ids == (1, 2, 3)  # a cached property does not count
+    for h in copies:
+        assert h == g and hash(h) == hash(g) and h is not g
+    assert {g, *copies} == {g}
+    assert g != g.reorient([2]) and g != (g.vertices, g.edges)
+    assert repr(Graph((1, 2), ((5, 1, 2),))) == (
+        "Graph(vertices=(1, 2), edges=((5, 1, 2),))")
+    with pytest.raises(AttributeError):
+        g.vertices = (1,)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert g.vertices == (1, 2, 3) and not hasattr(g, "extra")
+
+
 def test_contract_triangle_edge():
     image = cycle_graph(3).contract([1])
     # vertices 1 and 2 merge into vertex 1, the least id of the pair

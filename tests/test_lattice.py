@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm, prod
 
@@ -13,7 +12,8 @@ from flowalg.cli import parse_graph
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
                            dipole_graph, path_graph)
-from flowalg.lattice import (characteristic_flow, codichromatic_compare,
+from flowalg.lattice import (CharacteristicFlow, characteristic_flow,
+                             codichromatic_compare,
                              coset_system, flows_of_norm, lattice,
                              theta_enumerate, theta_product)
 from flowalg.series import QSeries
@@ -57,6 +57,18 @@ def test_characteristic_flow_reversal_negates():
     rev = characteristic_flow(g, 2, direction=-1)
     assert all(a + b == 0 for a, b in zip(fwd.chi, rev.chi))
     assert fwd.norm == rev.norm
+
+
+def test_characteristic_flow_keeps_its_own_potential():
+    pot = {1: 0, 2: 1}
+    flow = CharacteristicFlow(1, 1, (1, 1), pot, 2)
+    pot[2] = 5
+    assert flow.pot == {1: 0, 2: 1} and flow.pot is not pot
+    assert flow == CharacteristicFlow(1, 1, (1, 1), {1: 0, 2: 1}, 2)
+    assert repr(flow) == ("CharacteristicFlow(edge=1, direction=1, "
+                          "num=(1, 1), pot={1: 0, 2: 1}, den=2)")
+    with pytest.raises(AttributeError):
+        flow.pot = {}
 
 
 def test_potential_reproduces_flow():
@@ -311,7 +323,7 @@ def test_triangularity_check_names_stage_and_graph(monkeypatch):
         # the last basic flow is then that of the first chord taken, which
         # pairs to nonzero with the first rescaled flow, its own
         system = real(graph, greedy=greedy)
-        return replace(system, chords=system.chords[::-1])
+        return system._replace(chords=system.chords[::-1])
 
     monkeypatch.setattr(lattice_mod, "coset_system", reversed_chords)
     with pytest.raises(CheckError, match="triangularity") as info:

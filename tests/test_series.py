@@ -45,6 +45,17 @@ def test_qseries_drops_zero_coefficients():
     assert s.terms == ((F(1), 5),)
 
 
+def test_qseries_is_a_value():
+    s = QSeries.from_dict({F(2): 1, F(1, 2): 3}, 9)
+    assert s == QSeries(((F(1, 2), 3), (F(2), 1)), F(9))
+    assert s != QSeries.from_dict({F(2): 1, F(1, 2): 3}, 8)
+    assert hash(s) == hash(QSeries.from_dict({F(1, 2): 3, F(2): 1}, 9))
+    assert repr(s) == ("QSeries(terms=((Fraction(1, 2), 3), "
+                       "(Fraction(2, 1), 1)), bound=Fraction(9, 1))")
+    with pytest.raises(AttributeError):
+        s.bound = F(3)
+
+
 def test_qseries_rejects_negative_exponent():
     with pytest.raises(InputError):
         QSeries.from_dict({F(-1): 1}, 4)

@@ -14,9 +14,12 @@ parent first in odd pairs and the change first in even ones, so a slow
 drift of the machine does not favour one side.  The output holds, per
 workload and end-to-end metric, both sides' values, medians and
 quartiles, the median ratio (change / parent), the number of pairs the
-change won, by the metric's ``better`` direction, and a verdict; and the
-machine: CPU count, Python version and whether the child interpreters
-write bytecode.  They inherit this process's environment, so
+change won, by the metric's ``better`` direction, and a verdict; for a
+workload whose items are commands (``figure-cli``), each command's median
+latency per side, the median over the runs of each run's median, read
+from the results file the run writes, so a gain can be traced to the
+commands that carry it; and the machine: CPU count, Python version and
+whether the child interpreters write bytecode.  They inherit this process's environment, so
 ``PYTHONDONTWRITEBYTECODE`` decides it.  Without a bytecode cache every
 fresh process compiles each module it imports, which makes cold-import
 metrics such as ``figure-cli`` ``setup_s`` about 30% higher.
@@ -89,10 +92,28 @@ def extract(rev: str, dest: pathlib.Path) -> None:
     archive.unlink()
 
 
+def results_file(tree: pathlib.Path, workload: str, seed: int,
+                 trace: int) -> dict:
+    """The record a run in ``tree`` wrote under ``perfbench/results``."""
+    return json.loads((tree / "perfbench" / "results"
+                       / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+
+
+def command_latencies(items: list[dict]) -> dict:
+    """The median latency of each command among a run's items; empty for
+    workloads whose items are not commands."""
+    by_command: dict[str, list[float]] = {}
+    for item in items:
+        if "command" in item:
+            by_command.setdefault(item["command"], []).append(item["latency_s"])
+    return {c: statistics.median(v) for c, v in by_command.items()}
+
+
 def run_once(tree: pathlib.Path, workload: str, seed: int,
              seconds: float) -> dict:
     """One benchmark run in ``tree``: its printed result, with the wall
-    time of the whole run."""
+    time of the whole run and the median latency of each command it ran,
+    read from its results file."""
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -103,10 +124,13 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
         raise RuntimeError(f"{workload} seed {seed} in {tree} printed "
                            f"nothing:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    run_s = round(time.perf_counter() - started, 2)
+    items = results_file(tree, workload, seed, 0)["items"]
     return {"returncode": proc.returncode, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "run_s": round(time.perf_counter() - started, 2),
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "run_s": run_s,
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "command_latency_s": command_latencies(items)}
 
 
 def traced_run(tree: pathlib.Path, workload: str, seed: int,
@@ -121,8 +145,7 @@ def traced_run(tree: pathlib.Path, workload: str, seed: int,
     if proc.returncode != 0:
         sys.exit(f"traced {workload} seed {seed} run in {tree} exited "
                  f"{proc.returncode}:\n{proc.stderr}")
-    rec = json.loads((tree / "perfbench" / "results"
-                      / f"{workload}-seed{seed}-trace1.json").read_text())
+    rec = results_file(tree, workload, seed, 1)
     return {"seed": seed, "correct": rec["result"]["correct"],
             "problems": rec["problems"]}
 
@@ -184,6 +207,19 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def compare_commands(pairs: list[dict]) -> dict:
+    """Per command: each side's median, over the runs, of the run's median
+    latency, and their ratio (change / parent), so a gain can be traced to
+    the commands that carry it."""
+    out = {}
+    for command in pairs[0]["parent"]["command_latency_s"]:
+        med = {side: statistics.median(p[side]["command_latency_s"][command]
+                                       for p in pairs)
+               for side in ("parent", "change")}
+        out[command] = {**med, "median_ratio": med["change"] / med["parent"]}
+    return out
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -237,11 +273,17 @@ def main() -> int:
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
             metrics = compare(pairs, spec["end_to_end"])
+            commands = compare_commands(pairs)
             record["workloads"][workload] = {
                 "runs": pairs,
                 "all_correct": all(p[s]["correct"] for p in pairs
                                    for s in ("parent", "change")),
                 "metrics": metrics}
+            if commands:
+                record["workloads"][workload]["command_latency_s"] = commands
+            for command, c in commands.items():
+                print(f"{workload} {command!r}: {c['parent']:.4g} -> "
+                      f"{c['change']:.4g} s", file=sys.stderr, flush=True)
             for name, m in metrics.items():
                 move = m["move_vs_bound"]
                 move = "n/a" if move is None else f"{move:+.3f}"
