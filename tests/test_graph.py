@@ -20,7 +20,7 @@ def test_graph_is_an_immutable_value():
     g = cycle_graph(3)
     # a copy built through the checks, and one derived by an operation
     copies = [Graph(g.vertices, g.edges), g.reorient([2]).reorient([2])]
-    assert g.edge_ids == (1, 2, 3)  # a cached property does not count
+    assert g.edge_ids == (1, 2, 3)  # a value cached on g alone changes nothing
     for h in copies:
         assert h == g and hash(h) == hash(g) and h is not g
     assert {g, *copies} == {g}
