@@ -18,12 +18,15 @@ anywhere.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import threading
 
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           verify_inequalities)
-from .errors import CheckError, InputError
+from .errors import CheckError, FlowAlgError, InputError
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (_dot, characteristic_flow, lattice, theta_enumerate,
@@ -275,26 +278,41 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
     """Verify every connected multigraph with up to ``max_edges`` edges.
 
     Returns the results of ``flowalg corpus``: graph count, check count, and
-    the failures (graph edge list plus check name), exploratory ones apart."""
+    the failures (graph edge list plus check name), exploratory ones apart.
+    A negative theta bound or trial count raises ``InputError`` before the
+    corpus is generated.
+
+    The graphs are verified on every CPU the process may use (see
+    ``_verify_shares``).  The results, and the error raised when a graph
+    raises one, are those of verifying the graphs one by one in corpus
+    order."""
     from .corpus import connected_multigraphs
 
+    if theta_bound < 0:
+        raise InputError(f"theta bound {theta_bound} is negative")
+    if trials < 0:
+        raise InputError(f"trial count {trials} is negative")
     graphs = connected_multigraphs(max_edges)
+    args = (theta_bound, trials, deep)
+    outcomes = _verify_shares(graphs, _worker_count(len(graphs)), args)
     failures = []
     exploratory_failures = []
     total_checks = 0
-    for g in graphs:
-        report = verify_graph(g, theta_bound=theta_bound, trials=trials,
-                              deep=deep)
-        total_checks += len(report.checks)
-        for c in report.checks:
-            if not c.passed:
-                entry = {"graph": [list(e) for e in g.edges],
-                         "vertices": list(g.vertices),
-                         "check": c.name, "detail": c.detail}
-                if c.exploratory:
-                    exploratory_failures.append(entry)
-                else:
-                    failures.append(entry)
+    for g, outcome in zip(graphs, outcomes):
+        if outcome is None:
+            # left by a share that raised or was lost: verifying it here, in
+            # corpus order, raises the error of the first graph that has one
+            outcome = _outcome(g, args)
+        count, failed = outcome
+        total_checks += count
+        for name, detail, exploratory in failed:
+            entry = {"graph": [list(e) for e in g.edges],
+                     "vertices": list(g.vertices),
+                     "check": name, "detail": detail}
+            if exploratory:
+                exploratory_failures.append(entry)
+            else:
+                failures.append(entry)
     return {
         "graphs": len(graphs),
         "max-edges": max_edges,
@@ -302,3 +320,101 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
         "failures": failures,
         "exploratory-failures": exploratory_failures,
     }
+
+
+def _outcome(g: Graph, args: tuple) -> list:
+    """What ``run_corpus`` keeps of one graph's report, in a form that JSON
+    carries unchanged: ``[check count, [[name, detail, exploratory], ...]]``
+    with the failed checks in report order."""
+    theta_bound, trials, deep = args
+    report = verify_graph(g, theta_bound=theta_bound, trials=trials, deep=deep)
+    return [len(report.checks), [[c.name, c.detail, c.exploratory]
+                                 for c in report.checks if not c.passed]]
+
+
+def _worker_count(n: int) -> int:
+    """Processes to verify ``n`` graphs with: one per CPU this process may
+    run on, at most one per graph.  1 where the platform cannot fork or name
+    those CPUs, or where another thread runs, since a forked child holds a
+    copy of the calling thread only."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n))
+
+
+def _verify_shares(graphs: list, workers: int, args: tuple) -> list:
+    """The outcomes (see ``_outcome``) of ``graphs`` in corpus order, with
+    None for a graph left unverified.
+
+    Share k is the stride ``graphs[k::workers]``.  The parent verifies share
+    0 while a forked child verifies each other share.  A child stops before
+    its first graph that raises; a share whose fork fails is left to the
+    caller.  When a graph of share 0 raises a ``FlowAlgError``, the children
+    are killed, and the rest is left to the caller, which meets the earlier
+    graphs of their shares first.  Every child is reaped before this returns
+    or raises."""
+    outcomes = [None] * len(graphs)
+    children = []  # (share, pid, read end of the child's pipe)
+    try:
+        for k in range(1, workers):
+            try:
+                children.append((k, *_fork_share(graphs[k::workers], args)))
+            except OSError:  # no process to spare: share k is left
+                break
+        try:
+            for i in range(0, len(graphs), workers):
+                outcomes[i] = _outcome(graphs[i], args)
+        except FlowAlgError:
+            return outcomes
+        for k, _, fd in children:
+            for i, outcome in zip(range(k, len(graphs), workers),
+                                  _read_outcomes(fd)):
+                outcomes[i] = outcome
+    finally:
+        import signal
+
+        for _, pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)  # no effect on a child that is done
+            os.waitpid(pid, 0)
+    return outcomes
+
+
+def _fork_share(share: list, args: tuple) -> tuple:
+    """Fork a child that verifies ``share`` and writes the outcomes of its
+    graphs, up to the first that raises, to a pipe as one JSON list, then
+    leaves by ``os._exit``.  Returns the child's pid and the pipe's read
+    end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            done = []
+            try:
+                for g in share:
+                    done.append(_outcome(g, args))
+            finally:
+                with open(w, "wb") as pipe:
+                    pipe.write(json.dumps(done).encode())
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _read_outcomes(fd: int) -> list:
+    """The outcomes a child wrote to the pipe ``fd``; none if it died before
+    it wrote them all."""
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    try:
+        return json.loads(data)
+    except ValueError:
+        return []

@@ -1,16 +1,22 @@
 import importlib
+import json
+import os
 import random
 
 import pytest
 
-from flowalg.errors import InputError
+from flowalg.cli import main
+from flowalg.corpus import connected_multigraphs
+from flowalg.errors import CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, complete_graph,
                            dipole_graph)
 from flowalg.lattice import FlowLattice
-from flowalg.verify import orientation_invariance
+from flowalg.report import CheckReport
+from flowalg.verify import orientation_invariance, run_corpus
 
 from conftest import is_loop
 
+corpus_mod = importlib.import_module("flowalg.corpus")
 lattice_mod = importlib.import_module("flowalg.lattice")
 relations = importlib.import_module("flowalg.relations")
 verify = importlib.import_module("flowalg.verify")
@@ -167,3 +173,139 @@ def test_equal_determinant_non_isometric_gram_is_rejected(monkeypatch):
     monkeypatch.setattr(verify, "lattice", fake)
     monkeypatch.setattr(lattice_mod, "lattice", fake)
     assert not orientation_invariance(g, trials=5, seed=1)
+
+
+# -- corpus runner -----------------------------------------------------------
+
+
+def serial_corpus(max_edges):
+    """The corpus results of one ``verify_graph`` call after another, in
+    corpus order: the reference for ``run_corpus``."""
+    graphs = connected_multigraphs(max_edges)
+    out = {"graphs": len(graphs), "max-edges": max_edges, "checks-run": 0,
+           "failures": [], "exploratory-failures": []}
+    for g in graphs:
+        report = verify.verify_graph(g)
+        out["checks-run"] += len(report.checks)
+        for c in report.checks:
+            if not c.passed:
+                key = "exploratory-failures" if c.exploratory else "failures"
+                out[key].append({"graph": [list(e) for e in g.edges],
+                                 "vertices": list(g.vertices),
+                                 "check": c.name, "detail": c.detail})
+    return out
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("inject", [False, True])
+def test_parallel_corpus_equals_the_serial_loop(monkeypatch, inject):
+    # With ``inject``, every third graph also fails a check, and every
+    # fifth an exploratory one, so the merge order of failures shows.
+    if inject:
+        real = verify.verify_graph
+        index = {g: i for i, g in enumerate(connected_multigraphs(5))}
+
+        def failing(g, **kwargs):
+            report = real(g, **kwargs)
+            i = index[g]
+            if i % 3 == 0:
+                report.add("injected", False, f"graph {i}")
+            if i % 5 == 0:
+                report.add("injected-exploratory", False, f"graph {i}",
+                           exploratory=True)
+            return report
+
+        monkeypatch.setattr(verify, "verify_graph", failing)
+    expected = serial_corpus(5)
+    forks = _count_forks(monkeypatch)
+    got = run_corpus(5)
+    assert json.dumps(got) == json.dumps(expected)
+    assert len(forks) == len(os.sched_getaffinity(0)) - 1
+    assert_no_child_left()
+
+
+def test_one_cpu_runs_the_corpus_without_forking(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_corpus(4) == serial_corpus(4)
+
+
+def test_corpus_shares_that_cannot_fork_run_in_the_parent(monkeypatch):
+    def refuse():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run_corpus(4) == serial_corpus(4)
+
+
+def test_corpus_refuses_negative_bounds_before_generating(monkeypatch):
+    def generate(max_edges):
+        raise AssertionError("generated the corpus")
+
+    monkeypatch.setattr(corpus_mod, "connected_multigraphs", generate)
+    with pytest.raises(InputError, match="theta bound -1 is negative"):
+        run_corpus(3, theta_bound=-1)
+    with pytest.raises(InputError, match="trial count -2 is negative"):
+        run_corpus(3, trials=-2)
+
+
+@pytest.mark.parametrize("error, code, kind",
+                         [(CheckError, 1, "check"), (InputError, 2, "input")])
+@pytest.mark.parametrize("child_first", [True, False])
+def test_corpus_raises_the_first_error_in_corpus_order(
+        monkeypatch, capsys, child_first, error, code, kind):
+    """A graph of a child's share and one of the parent's share raise; the
+    one first in corpus order is raised, with its type and message, by the
+    library and the CLI, and no child is left either way."""
+    graphs = connected_multigraphs(5)
+    workers = verify._worker_count(len(graphs))
+    if workers < 2:
+        pytest.skip("needs two CPUs")
+    child = 2 * workers + 1          # share 1
+    parent = 4 * workers if child_first else 2 * workers  # share 0
+    bad = {graphs[child]: child, graphs[parent]: parent}
+
+    def verify_graph(g, **kwargs):
+        if g in bad:
+            raise error(f"injected failure on graph {bad[g]}")
+        report = CheckReport()
+        report.add("ok", True)
+        return report
+
+    monkeypatch.setattr(verify, "verify_graph", verify_graph)
+    with pytest.raises(error) as serial:
+        serial_corpus(5)
+    first = min(child, parent)
+    assert str(serial.value) == f"injected failure on graph {first}"
+
+    with pytest.raises(error) as parallel:
+        run_corpus(5)
+    assert type(parallel.value) is error
+    assert str(parallel.value) == str(serial.value)
+    assert_no_child_left()
+
+    assert main(["corpus", "--max-edges", "5"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == str(serial.value)
+    assert doc["kind"] == kind
+    assert_no_child_left()
