@@ -333,14 +333,14 @@ def _outcome(g: Graph, args: tuple) -> list:
 
 
 def _worker_count(n: int) -> int:
-    """Processes to verify ``n`` graphs with: one per CPU this process may
-    run on, at most one per graph.  1 where the platform cannot fork or name
+    """Processes to verify ``n`` > 0 graphs with: one per CPU this process
+    may run on, at most one per graph.  1 where the platform cannot fork or name
     those CPUs, or where another thread runs, since a forked child holds a
     copy of the calling thread only."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n))
+    return min(len(os.sched_getaffinity(0)), n)
 
 
 def _verify_shares(graphs: list, workers: int, args: tuple) -> list:

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -201,18 +202,6 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _count_forks(monkeypatch):
-    forks = []
-    real = os.fork
-
-    def counted():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 @pytest.mark.parametrize("inject", [False, True])
 def test_parallel_corpus_equals_the_serial_loop(monkeypatch, inject):
     # With ``inject``, every third graph also fails a check, and every
@@ -233,10 +222,12 @@ def test_parallel_corpus_equals_the_serial_loop(monkeypatch, inject):
 
         monkeypatch.setattr(verify, "verify_graph", failing)
     expected = serial_corpus(5)
-    forks = _count_forks(monkeypatch)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     got = run_corpus(5)
     assert json.dumps(got) == json.dumps(expected)
-    assert len(forks) == len(os.sched_getaffinity(0)) - 1
+    assert len(forks) == verify._worker_count(expected["graphs"]) - 1
     assert_no_child_left()
 
 
@@ -256,6 +247,38 @@ def test_corpus_shares_that_cannot_fork_run_in_the_parent(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", refuse)
     assert run_corpus(4) == serial_corpus(4)
+
+
+def test_corpus_does_not_fork_while_another_thread_runs(monkeypatch):
+    # a forked child would hold a copy of the calling thread only
+    def no_fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert run_corpus(4) == serial_corpus(4)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_corpus_share_of_a_lost_child_runs_in_the_parent(monkeypatch):
+    # a child that dies before writing leaves its share to the parent
+    parent = os.getpid()
+    real = verify.verify_graph
+
+    def dying(g, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(verify, "verify_graph", dying)
+    assert run_corpus(4) == serial_corpus(4)
+    assert_no_child_left()
 
 
 def test_corpus_refuses_negative_bounds_before_generating(monkeypatch):
