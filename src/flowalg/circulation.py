@@ -28,7 +28,7 @@ from .errors import InputError, check_failed, require_capacity
 from .graph import Graph, _components
 from .linalg import rank_int_rows
 from .report import CheckReport
-from .tutte import poincare, tutte
+from .tutte import poincare, trimmed, tutte
 
 
 # -- coefficient rings -----------------------------------------------------
@@ -296,10 +296,7 @@ def monomial_dimensions(g: Graph) -> list[int]:
     rows: list[list[dict[int, int]]] = [[] for _ in range(m + 1)]
     for prod in products:
         rows[next(iter(prod.table)).bit_count()].append(prod.table)
-    dims = [rank_int_rows(tables) for tables in rows]
-    while len(dims) > 1 and dims[-1] == 0:
-        dims.pop()
-    return dims
+    return list(trimmed(rank_int_rows(tables) for tables in rows))
 
 
 @lru_cache(maxsize=64)

@@ -30,7 +30,8 @@ import json
 import sys
 import time
 
-from .errors import CapacityError, CheckError, FlowAlgError, InputError
+from .errors import (CapacityError, CheckError, FlowAlgError, InputError,
+                     require_capacity)
 from .graph import Graph
 from .report import CheckReport
 
@@ -131,6 +132,8 @@ def _cmd_ranks(args):
     from .relations import rank_sequence
     from .tutte import poincare, trimmed
     g = parse_graph(args.file)
+    if args.oracle != "tutte":  # refused before the Tutte route runs
+        require_capacity(g.num_edges)
     routes = {"tutte": poincare, "relations": rank_sequence,
               "monomials": monomial_dimensions}
     results = {name: list(trimmed(route(g)))

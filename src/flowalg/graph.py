@@ -334,10 +334,7 @@ class Graph:
         [head(e)=v] - [tail(e)=v]; loops contribute 0."""
         if v not in set(self.vertices):
             raise InputError(f"unknown vertex {v}")
-        row = []
-        for _, tail, head in self.edges:
-            row.append((1 if head == v else 0) - (1 if tail == v else 0))
-        return tuple(row)
+        return tuple((head == v) - (tail == v) for _, tail, head in self.edges)
 
     def incidence_rows(self) -> list[tuple[int, ...]]:
         return [self.incidence_row(v) for v in self.vertices]

@@ -11,10 +11,11 @@ products, each under its :func:`_normal_form` key, a byte string that
 each graph object computes once (:attr:`Graph.normal_form`).  Stored
 polynomials share one ``(i, j)`` tuple per exponent pair, and each check
 records the keys it has confirmed in a set of its own, so an entry costs
-little beyond its key and its coefficients.  Two independent
-oracles check it on every graph up to the capacity ceiling of
-``MAX_SUBSET_EDGES`` edges: a corank-nullity subset sum checks the Tutte
-polynomial, and a direct count of maximal forests checks T(1, 1).  The subset
+little beyond its key and its coefficients.  Two independent oracles check
+it: a corank-nullity subset sum checks the Tutte polynomial on every graph
+up to the capacity ceiling of ``MAX_SUBSET_EDGES`` edges, and Kirchhoff's
+matrix-tree theorem checks T(1, 1), the number of maximal forests, on every
+graph (``linalg.det_int``, tested in ``tests/test_linalg.py``).  The subset
 sum is a frontier sweep over the edges: the subsets are grouped by the
 partition they induce on the vertices that still have an edge to come, with
 their counts kept by rank and nullity, so the 2^m subsets are never listed
@@ -27,12 +28,11 @@ integer-exact.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from . import errors
 from .errors import check_failed
-from .graph import Graph, _components
+from .graph import Graph
 
 
 class BiPoly:
@@ -253,7 +253,8 @@ def tutte(g: Graph) -> BiPoly:
     graph per process (see the module docstring)."""
     key = _normal_form(g)
     result = _tutte_rec(g, key)
-    _cross_check(g, key, "subset sum", result, tutte_by_subsets)
+    if g.num_edges <= errors.MAX_SUBSET_EDGES:
+        _cross_check(g, key, "subset sum", result, tutte_by_subsets)
     return result
 
 
@@ -292,19 +293,20 @@ def trimmed(seq) -> tuple[int, ...]:
 
 
 def count_spanning_forests(g: Graph) -> int:
-    """Direct enumeration oracle: the edge sets of size n - k whose spanning
-    subgraph keeps the graph's k components, which are exactly the acyclic
-    ones."""
-    k = g.num_components
-    return sum(1 for subset in combinations(g.edges, g.num_vertices - k)
-               if _components(g.vertices,
-                              [(t, h) for _, t, h in subset])[0] == k)
+    """Kirchhoff's matrix-tree theorem: the number of maximal forests is the
+    determinant of the Laplacian B B^T without the least vertex of each
+    component (B the incidence matrix, in which a loop's column is zero)."""
+    from .linalg import det_int  # ``flowalg poincare`` loads no linalg
+    _, least = g.components()
+    rows = [r for v, r in zip(g.vertices, g.incidence_rows()) if least[v] != v]
+    return det_int([[sum(a * b for a, b in zip(r, s)) for s in rows]
+                    for r in rows])
 
 
 def complexity(g: Graph) -> int:
-    """Number of maximal forests, computed as T(1, 1), checked against
-    direct enumeration up to ``MAX_SUBSET_EDGES`` edges, once per distinct
-    graph per process (see the module docstring)."""
+    """Number of maximal forests, computed as T(1, 1), checked against the
+    matrix-tree determinant on every graph, once per distinct graph per
+    process (see the module docstring)."""
     key = _normal_form(g)
     kappa = sum(_tutte_rec(g, key).coeffs.values())
     _cross_check(g, key, "forest count", kappa, count_spanning_forests)
@@ -313,13 +315,12 @@ def complexity(g: Graph) -> int:
 
 def _cross_check(g: Graph, key: bytes, check: str, value, oracle) -> None:
     """Compare the recursion's ``value`` for g (``key`` is its normal form)
-    with ``oracle(g)`` up to ``MAX_SUBSET_EDGES`` edges, unless ``check``
-    has already confirmed that key; record the key once the two agree."""
-    confirmed = _verified[check]
-    if g.num_edges > errors.MAX_SUBSET_EDGES or key in confirmed:
+    with ``oracle(g)``, unless ``check`` has already confirmed that key;
+    record the key once the two agree."""
+    if key in _verified[check]:
         return
     expected = oracle(g)
     if expected != value:
         raise check_failed(g, check, f"deletion-contraction gives {value!r}, "
                                      f"the oracle gives {expected!r}")
-    confirmed.add(key)
+    _verified[check].add(key)

@@ -64,14 +64,16 @@ def _poly_add(a, b, shift=0):
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
     """Run the full identity and inequality suite on one graph.  A graph
-    with no vertex (the one-point-union check needs a vertex to glue at) and
-    a negative theta bound raise ``InputError``, and a coset system over
-    ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``, before any
-    check runs."""
+    with no vertex (the one-point-union check needs a vertex to glue at), a
+    negative theta bound or trial count raise ``InputError``, and a coset
+    system over ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``,
+    before any check runs."""
     if not g.vertices:
         raise InputError("verify needs a graph with at least one vertex")
     if theta_bound < 0:
         raise InputError(f"theta bound {theta_bound} is negative")
+    if trials < 0:
+        raise InputError(f"trial count {trials} is negative")
     # the theta product comes first, so that a coset system over its
     # ceiling is refused (CapacityError) before any other work is done
     try:

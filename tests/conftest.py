@@ -1,6 +1,6 @@
 import pathlib
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -120,6 +120,18 @@ def reference_hermite_rows(rows):
         if r == len(m):
             break
     return [row for row in m if any(row)]
+
+
+def reference_forest_count(g):
+    """Number of maximal forests by enumeration: the edge sets of size
+    n - k whose spanning subgraph keeps the graph's k components, which are
+    exactly the acyclic ones.  A reference for
+    ``flowalg.tutte.count_spanning_forests``, the matrix-tree determinant;
+    it lists C(m, n - k) edge sets, so only for small graphs."""
+    k = g.num_components
+    return sum(1 for subset in combinations(g.edges, g.num_vertices - k)
+               if _components(g.vertices,
+                              [(t, h) for _, t, h in subset])[0] == k)
 
 
 def ids_of(g, mask):

@@ -235,15 +235,44 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert doc["kind"] == "input"
 
 
-def test_capacity_exit_code(capsys, tmp_path):
+def _dipole_file(tmp_path, m):
     path = tmp_path / "big.g"
     lines = ["vertex 1", "vertex 2"]
-    lines += [f"edge {i} 1 2" for i in range(1, 23)]
+    lines += [f"edge {i} 1 2" for i in range(1, m + 1)]
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_capacity_exit_code(capsys, tmp_path):
+    path = _dipole_file(tmp_path, 22)
     code = main(["ranks", str(path), "--oracle", "relations"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["kind"] == "capacity"
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "all"],
+                                    ["--oracle", "relations"],
+                                    ["--oracle", "monomials"]])
+def test_ranks_refuses_before_the_tutte_route(capsys, monkeypatch, tmp_path,
+                                              oracle):
+    def reached(g):
+        raise AssertionError("ran the Tutte route")
+
+    monkeypatch.setattr("flowalg.tutte.poincare", reached)
+    code = main(["ranks", str(_dipole_file(tmp_path, 22))] + oracle)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["kind"] == "capacity"
+
+
+def test_ranks_by_tutte_alone_answers_above_the_ceiling(capsys, tmp_path):
+    code, doc = run_cli(capsys, "ranks", str(_dipole_file(tmp_path, 22)),
+                        "--oracle", "tutte")
+    assert code == 0
+    # T = x + y + ... + y^21: d_1 = m - n + 1 and the sum is T(1, 2)
+    dims = doc["results"]["tutte"]
+    assert (dims[:2], dims[-1], sum(dims)) == ([1, 21], 1, 2 ** 22 - 1)
 
 
 def test_coset_ceiling_exit_code(capsys, monkeypatch, graph_dir):

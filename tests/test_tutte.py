@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 
 import flowalg.errors as errors
 import flowalg.tutte as tutte_mod
+from flowalg.corpus import connected_multigraphs
 from flowalg.errors import CheckError
 from flowalg.graph import (Graph, _components, bouquet_graph, build,
                            complete_graph, cycle_graph, dipole_graph,
@@ -12,7 +13,7 @@ from flowalg.graph import (Graph, _components, bouquet_graph, build,
 from flowalg.tutte import (BiPoly, complexity, count_spanning_forests,
                            poincare, tutte, tutte_by_subsets)
 
-from conftest import bipoly_one, small_multigraphs
+from conftest import bipoly_one, reference_forest_count, small_multigraphs
 
 
 def test_tutte_base_cases():
@@ -58,6 +59,24 @@ def test_complexity_matches_direct_count():
     for g in [complete_graph(4), cycle_graph(4), bouquet_graph(2),
               disjoint_union(cycle_graph(3), path_graph(2))]:
         assert complexity(g) == count_spanning_forests(g)
+
+
+@pytest.mark.parametrize("g", [
+    Graph((), ()),                                        # the null graph
+    Graph((1, 2, 3), ()),                                 # isolated vertices
+    bouquet_graph(3),                                     # loops only
+    disjoint_union(complete_graph(4), dipole_graph(3)),   # two components
+    build([(1, 1, 2), (2, 2, 2), (3, 2, 3), (4, 3, 1), (5, 1, 2)],
+          isolated=[4]),
+])
+def test_matrix_tree_count_matches_enumeration(g):
+    assert count_spanning_forests(g) == reference_forest_count(g)
+
+
+def test_matrix_tree_count_matches_enumeration_on_corpus_6():
+    graphs = connected_multigraphs(6)
+    assert [count_spanning_forests(g) for g in graphs] == [
+        reference_forest_count(g) for g in graphs]
 
 
 def test_null_graph_conventions():
@@ -175,12 +194,37 @@ def test_oracles_check_graphs_up_to_the_capacity_ceiling(monkeypatch):
     tutte(g)
     complexity(g)
     assert tutte_mod._verified == {"subset sum": {key}, "forest count": {key}}
-    # the ceiling is read when the check runs
+    # the ceiling is read when the check runs, and gates only the subset
+    # sum: the forest count is checked at every size
     monkeypatch.setattr(errors, "MAX_SUBSET_EDGES", 12)
     tutte_mod.clear_cache()
     tutte(g)
     complexity(g)
-    assert not any(tutte_mod._verified.values())
+    assert tutte_mod._verified == {"subset sum": set(), "forest count": {key}}
+
+
+def test_complexity_is_checked_above_the_capacity_ceiling(monkeypatch):
+    # C11 plus the eleven chords i -> i + 3: 22 edges
+    g = build([(i, i, i % 11 + 1) for i in range(1, 12)]
+              + [(11 + i, i, (i + 2) % 11 + 1) for i in range(1, 12)])
+    assert g.num_edges > errors.MAX_SUBSET_EDGES
+    key = tutte_mod._normal_form(g)
+    tutte_mod.clear_cache()
+    assert complexity(g) == count_spanning_forests(g)
+    assert tutte_mod._verified["forest count"] == {key}
+    real = tutte_mod._tutte_rec
+
+    def off_by_one(graph, graph_key):
+        t = real(graph, graph_key)
+        return t + bipoly_one() if graph.num_edges > 20 else t
+
+    monkeypatch.setattr(tutte_mod, "_tutte_rec", off_by_one)
+    tutte_mod.clear_cache()
+    try:
+        with pytest.raises(CheckError, match="forest count"):
+            complexity(g)
+    finally:
+        tutte_mod.clear_cache()
 
 
 def _decoded(key):

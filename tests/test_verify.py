@@ -37,6 +37,15 @@ def test_orientation_invariance_refuses_a_negative_theta_bound():
         orientation_invariance(complete_graph(4), 3, theta_bound=-1)
 
 
+def test_verify_graph_refuses_a_negative_trial_count_first(monkeypatch):
+    def reached(g, bound):
+        raise AssertionError("ran the theta product")
+
+    monkeypatch.setattr(verify, "theta_product", reached)
+    with pytest.raises(InputError, match="trial count -1 is negative"):
+        verify.verify_graph(complete_graph(4), trials=-1)
+
+
 def test_orientation_trials_skip_copies_already_checked(monkeypatch):
     # Each checked copy builds one lattice, after the reference's.  The
     # draws repeat flips and differ only on the loop, so fewer copies than
