@@ -386,7 +386,7 @@ def theta_enumerate(g: Graph, bound) -> QSeries:
     up to the bound; the oracle route.
 
     :func:`~flowalg.linalg.enumerate_by_norm` finds the vectors by an
-    integer-scaled search over the LDL^T data of the Gram matrix; each
+    integer search over the Bareiss elimination of the Gram matrix; each
     vector's norm v^T G v is then recomputed in integers from the Gram
     matrix itself, and a vector above the bound is a failed check.  With
     v = (t, s), t the first coordinate, v^T G v = G_00 t^2 + 2 t <G_0, s> +

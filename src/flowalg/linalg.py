@@ -3,15 +3,16 @@
 Everything here is exact: matrices hold Python ints or ``Fraction``s and no
 floating point enters any code path.  The eliminations work on sparse rows
 (dicts column -> value), because relation matrices of a few hundred rows
-are mostly zeros; only the small square routines (the Bareiss determinant
-and the LDL^T data of a Gram matrix) are dense.  The relation matrices and
-the monomial evaluation matrices are ranked by :func:`rank_int_rows`, a
-row-by-row echelon reduction in integers.  One integer lattice reduction,
-the row Hermite form of :func:`hermite_rows`, a unimodular row-by-row
-reduction, gives both the integer kernels and the Smith invariant factors
-(alternating row Hermite forms); they take and return sparse rows.  A
-column may be any integer, such as the subset mask that names a column of a
-relation matrix, and columns are ordered by their value.
+are mostly zeros; the small square routines, the determinant and the
+short-vector search over a Gram matrix, are dense and share one Bareiss
+elimination.  The relation matrices and the monomial evaluation matrices
+are ranked by :func:`rank_int_rows`, a row-by-row echelon reduction in
+integers.  One integer lattice reduction, the row Hermite form of
+:func:`hermite_rows`, a unimodular row-by-row reduction, gives both the
+integer kernels and the Smith invariant factors (alternating row Hermite
+forms); they take and return sparse rows.  A column may be any integer,
+such as the subset mask that names a column of a relation matrix, and
+columns are ordered by their value.
 
 Minimum-norm points come from the orthogonal projection onto a kernel, for
 every coordinate at once: one fraction-free integer solve of the Gram
@@ -138,25 +139,39 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
 
 def det_int(mat: list[list[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
-    n = len(mat)
-    if n == 0:
+    if not mat:
         return 1
+    m, swaps = _bareiss(mat)
+    if any(row[k] == 0 for k, row in enumerate(m)):
+        return 0  # a zero pivot that no row swap could replace
+    return (-1) ** swaps * m[-1][-1]
+
+
+def _bareiss(mat) -> tuple[list[list[int]], int]:
+    """Bareiss's fraction-free elimination of a square integer matrix, as
+    ``(m, swaps)`` with m upper triangular.  Without row swaps, m[k][k] is
+    the leading (k+1) x (k+1) minor and m[k][j] (j > k) the minor on rows
+    0..k and columns 0..k-1, j.  A zero pivot's row is swapped with the
+    first row below that is nonzero in its column, and ``swaps`` counts
+    these; with no such row the matrix is singular, and the elimination
+    stops with the zero on the diagonal."""
+    n = len(mat)
     m = [list(row) for row in mat]
-    sign = 1
+    swaps = 0
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pr is None:
-                return 0
+                return m, swaps
             m[k], m[pr] = m[pr], m[k]
-            sign = -sign
+            swaps += 1
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return m, swaps
 
 
 # -- Smith normal form ----------------------------------------------------
@@ -292,47 +307,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 # -- lattice point enumeration --------------------------------------------
 
 
-def ldl(gram: list[list[Fraction]]):
-    """Exact LDL^T data of a symmetric positive definite matrix: returns
-    (diag, lower) with ``lower`` unit lower triangular.  Raises
-    ``InputError`` if the matrix is not symmetric positive definite."""
-    n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if len(g[i]) != n:
-            raise InputError("Gram matrix must be square")
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                raise InputError("Gram matrix must be symmetric")
-    d = [Fraction(0)] * n
-    low = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        low[i][i] = Fraction(1)
-        s = g[i][i] - sum(low[i][k] ** 2 * d[k] for k in range(i))
-        if s <= 0:
-            raise InputError("matrix is not positive definite")
-        d[i] = s
-        for j in range(i + 1, n):
-            low[j][i] = (g[j][i]
-                         - sum(low[j][k] * low[i][k] * d[k] for k in range(i))) / d[i]
-    return d, low
-
-
 def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     """All integer coordinate vectors v with ``v^T gram v <= bound``.
 
-    The Gram matrix must be symmetric positive definite (checked exactly).
-    The list is complete, duplicate-free, contains 0 and is symmetric under
-    negation.
+    The Gram matrix (integers or ``Fraction``s) must be symmetric positive
+    definite (checked exactly).  The list is complete, duplicate-free,
+    contains 0 and is symmetric under negation.
 
-    A Fincke-Pohst search over the exact LDL^T data, run in integers: with
-    q_i the lcm of the denominators of column i of L below the diagonal, the
-    norm is the sum of w_i u_i^2 over the integers
-    u_i = q_i v_i + sum_{j>i} (q_i L[j][i]) v_j, where w_i = d_i / q_i^2.
-    Scaling every w_i by the lcm S of their denominators turns the bound into
-    the integer floor(bound * S), so each coordinate's range follows from
-    ``isqrt`` and the remainder stays an integer.  Coordinates are tried in
-    ascending order, last coordinate outermost.
+    A Fincke-Pohst search in integers over the Bareiss elimination M of
+    den * gram, den the lcm of its denominators.  Every leading minor
+    D_(k+1) = M[k][k] must be positive (Sylvester's criterion on the matrix
+    as given: a zero one is refused, not swapped away).  With D_0 = 1,
+    den v^T gram v = sum_k u_k^2 / (D_k D_(k+1)) over the integers
+    u_k = D_(k+1) v_k + sum_(j>k) M[k][j] v_j (its LDL^T decomposition).
+    With S the lcm of the D_k D_(k+1), the weights S / (D_k D_(k+1)) are
+    integers and the bound becomes the integer floor(bound den S), so each
+    coordinate's range follows from ``isqrt`` and the remainder stays an
+    integer.  Coordinates ascend, last coordinate outermost.
     """
     n = len(gram)
     bound = Fraction(bound)
@@ -340,15 +331,23 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
         raise InputError("norm bound must be nonnegative")
     if n == 0:
         return [()]
-    d, low = ldl(gram)
-    qs = [lcm(*(low[j][i].denominator for j in range(i + 1, n)))
-          for i in range(n)]
-    # column i below the diagonal, scaled to integers: (j, q_i * L[j][i])
-    cols = [[(j, int(low[j][i] * qs[i])) for j in range(i + 1, n)
-             if low[j][i]] for i in range(n)]
-    weights = [d[i] / (qs[i] * qs[i]) for i in range(n)]
-    scale = lcm(*(w.denominator for w in weights))
-    weights = [int(w * scale) for w in weights]
+    for i in range(n):
+        if len(gram[i]) != n:
+            raise InputError("Gram matrix must be square")
+        for j in range(i):
+            if gram[i][j] != gram[j][i]:
+                raise InputError("Gram matrix must be symmetric")
+    den = lcm(*(x.denominator for row in gram for x in row))
+    m, swaps = _bareiss([[x.numerator * (den // x.denominator) for x in row]
+                         for row in gram])
+    qs = [row[k] for k, row in enumerate(m)]
+    if swaps or min(qs) <= 0:
+        raise InputError("matrix is not positive definite")
+    cols = [[(j, row[j]) for j in range(k + 1, n) if row[j]]
+            for k, row in enumerate(m)]
+    dens = [a * b for a, b in zip([1] + qs, qs)]
+    scale = lcm(*dens)
+    weights = [scale // d for d in dens]
     out: list[tuple[int, ...]] = []
     vec = [0] * n
 
@@ -366,5 +365,5 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
             descend(i - 1, remaining - w * u * u)
         vec[i] = 0
 
-    descend(n - 1, bound.numerator * scale // bound.denominator)
+    descend(n - 1, bound.numerator * den * scale // bound.denominator)
     return out

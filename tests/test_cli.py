@@ -235,6 +235,19 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert doc["kind"] == "input"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_graph_file_is_an_input_error(capsys, tmp_path, kind):
+    path = tmp_path / "graph.g"  # "missing": never created
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"\xff\xfe")
+    code, doc = run_cli(capsys, "poincare", str(path))
+    assert code == 2
+    assert doc["kind"] == "input"
+    assert doc["error"].startswith(f"cannot read {path}: ")
+
+
 def _dipole_file(tmp_path, m):
     path = tmp_path / "big.g"
     lines = ["vertex 1", "vertex 2"]

@@ -374,6 +374,19 @@ def test_enumerate_rejects_bad_gram():
         enumerate_by_norm([[1, 2], [2, 1]], 4)  # indefinite
 
 
+@pytest.mark.parametrize("gram", [
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    # two zero leading minors: the row swaps that get past them cancel in
+    # the determinant's sign, and every pivot after them is positive
+    [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+     [0, 0, 0, 0, 1]],
+])
+def test_enumerate_refuses_a_zero_leading_minor(gram):
+    assert det_int(gram) != 0  # an elimination with row swaps gets past it
+    with pytest.raises(InputError, match="not positive definite"):
+        enumerate_by_norm(gram, 4)
+
+
 def test_det_int():
     assert det_int([]) == 1
     assert det_int([[7]]) == 7

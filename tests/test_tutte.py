@@ -92,8 +92,8 @@ def test_poincare_value_at_one_counts_spanning_subgraphs():
         assert sum(poincare(g)) == tutte(g)(1, 2)
 
 
-def test_subset_oracle_beyond_the_automatic_check():
-    # 13 edges: tutte() no longer cross-checks, so compare here; the
+def test_subset_oracle_matches_the_recursion_on_13_edges():
+    # the sweep against the recursion directly, on a 13-edge graph: the
     # oracle's packed subset counts then need 14-bit digits
     g = build([(i, u, w) for i, (u, w) in enumerate(
         [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),

@@ -18,11 +18,14 @@ change won, by the metric's ``better`` direction, and a verdict; for a
 workload whose items are commands (``figure-cli``), each command's median
 latency per side, the median over the runs of each run's median, read
 from the results file the run writes, so a gain can be traced to the
-commands that carry it; and the machine: CPU count, Python version and
-whether the child interpreters write bytecode.  They inherit this process's environment, so
-``PYTHONDONTWRITEBYTECODE`` decides it.  Without a bytecode cache every
-fresh process compiles each module it imports, which makes cold-import
-metrics such as ``figure-cli`` ``setup_s`` about 30% higher.
+commands that carry it; and the machine: ``nproc``, the number of CPUs
+this process may run on (``os.sched_getaffinity``), as ``perfbench/run.py``
+counts them, ``cpu_count``, the machine's CPUs (``os.cpu_count``), Python
+version and whether the child interpreters write bytecode.  They inherit
+this process's environment, so ``PYTHONDONTWRITEBYTECODE`` decides it.
+Without a bytecode cache every fresh process compiles each module it
+imports, which makes cold-import metrics such as ``figure-cli``
+``setup_s`` about 30% higher.
 
 Before the pairs, each workload runs traced in the change's tree,
 
@@ -236,7 +239,8 @@ def main() -> int:
             "change": git("rev-parse", "HEAD")}
     record = {
         **revs,
-        "machine": {"nproc": os.cpu_count(),
+        "machine": {"nproc": len(os.sched_getaffinity(0)),
+                    "cpu_count": os.cpu_count(),
                     "python": platform.python_version(),
                     "arch": platform.machine(),
                     "writes_bytecode":
