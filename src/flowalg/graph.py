@@ -135,6 +135,16 @@ class Graph:
     def num_components(self) -> int:
         return self.components()[0]
 
+    @cached_property
+    def _roots(self) -> frozenset[int]:
+        """The least vertex of each component, its root.  The incidence
+        rows of one component sum to zero, and so do the conservation rows
+        of each component of a contraction, whose classes the roots still
+        name; so a system grounded at the roots, without their rows, has
+        the row lattice of the whole one."""
+        _, least = self.components()
+        return frozenset(least.values())
+
     def delete(self, sigma: Iterable[int]) -> "Graph":
         """Remove the edges in sigma; the vertex set is unchanged."""
         sigma = self._check_subset(sigma)

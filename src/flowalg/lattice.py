@@ -10,13 +10,16 @@ asserted where they are cheap and verified corpus-wide by the test suite.
 
 Characteristic flows are held in integers, numerators over one positive
 denominator.  Every edge's flow, in both directions, is read from one
-fraction-free Laplacian solve per graph (:func:`_projection`, which keeps
-the projection of the last graph), so the edges of a graph and all chords a
-coset system tries in one subgraph share it.  The checks on a flow do not
-go through that solve: the potential is integrated along the edges and
-checked against every edge and the norm, and ``verify_graph`` checks the
-norm against Tutte's forest counts and the projection law against the
-lattice basis, all in integers.
+fraction-free solve of the grounded Laplacian per graph
+(:func:`_projection`, which keeps the projection of the last graph).  A
+coset system starts from that solve too: deleting a chord is a rank-one
+downdate of the projection (:func:`_delete_from_projection`), so every
+subgraph it visits costs O(m^2) integer work and no solve, and the graph's
+own projection stays cached.  The checks on a flow do not go through that
+solve: the potential is integrated along the edges and checked against
+every edge and the norm, and ``verify_graph`` checks the norm against
+Tutte's forest counts and the projection law against the lattice basis,
+all in integers.
 
 A coset system can take the chords in any order; the number of coset
 representatives, the product of the chords' integrality indices, depends on
@@ -105,12 +108,35 @@ def _dot(u, v):
 
 @lru_cache(maxsize=1)
 def _projection(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``min_norm_affine`` of the incidence matrix of g: den times the
-    projection onto the flow space, one row per edge position.  The
-    projection of the last graph is kept, so the edges, both directions
-    and every chord a coset system tries in one subgraph share one
-    solve."""
-    return min_norm_affine(g.incidence_rows(), g.num_edges)
+    """``min_norm_affine`` of the incidence matrix of g, grounded at its
+    roots (``Graph._roots``; the rows of a component sum to zero, so the
+    flow space is the same): den times the projection onto the flow space,
+    one row per edge position.  The grounded Laplacian is nonsingular.
+    The projection of the last graph is kept, so the edges, both
+    directions and the coset system of one graph share one solve."""
+    roots = g._roots
+    return min_norm_affine(
+        [g.incidence_row(v) for v in g.vertices if v not in roots],
+        g.num_edges)
+
+
+def _delete_from_projection(proj, p: int):
+    """The projection of a graph with the edge at position p deleted, read
+    from the graph's projection ``proj = (den, u)``, u = den P, without a
+    solve: the flows of the subgraph are those of the graph that vanish at
+    p, so its projection is the rank-one downdate P - P e_p e_p^T P / P_pp,
+    that is (u u_pp - u_p u_p^T) / (den u_pp), with row and column p,
+    now zero, removed and the gcd divided out.  The edge must lie on a
+    cycle (u_pp > 0)."""
+    den, u = proj
+    up = u[p]
+    upp = up[p]
+    rows = [[x * upp - a * b for k, (x, b) in enumerate(zip(row, up))
+             if k != p]
+            for i, (row, a) in enumerate(zip(u, up)) if i != p]
+    den *= upp
+    k = gcd(den, *(x for row in rows for x in row))
+    return den // k, tuple(tuple(x // k for x in row) for row in rows)
 
 
 def characteristic_flow(g: Graph, eid: int, direction: int = 1
@@ -131,12 +157,21 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     """
     if direction not in (1, -1):
         raise InputError("direction must be +1 or -1")
-    _, tail, head = g.edge(eid)
     if g.is_cut_edge(eid):
         raise InputError(
             f"edge {eid} is a cut-edge: the flow space forces value 0 on it")
+    return _flow_from_row(g, eid, direction,
+                          _projection(g)[1][g.position(eid)])
+
+
+def _flow_from_row(g: Graph, eid: int, direction: int, u
+                   ) -> CharacteristicFlow:
+    """The characteristic flow of an edge of g from the edge's row u of a
+    projection of g (an integer multiple of it), with every check a flow
+    passes: a positive entry on the edge, and the potential, integrated
+    along the other edges, against every edge and the norm."""
+    _, tail, head = g.edge(eid)
     pos = g.position(eid)
-    u = _projection(g)[1][pos]
     if u[pos] <= 0:
         raise check_failed(g, "projection", f"the projection of edge {eid} "
                            f"has entry {u[pos]} on the edge")
@@ -205,9 +240,10 @@ def lattice(g: Graph) -> FlowLattice:
                        tuple(map(tuple, gram)), det)
 
 
-def _next_chord(sub: Graph, remaining: list[int], greedy: bool):
+def _next_chord(sub: Graph, proj, remaining: list[int], greedy: bool):
     """The next chord for a coset system, with its characteristic flow in
-    ``sub`` and that flow's integrality index, as ``(index, chord, flow)``.
+    ``sub``, read from ``proj``, the projection of ``sub``, and that flow's
+    integrality index, as ``(index, chord, flow)``.
 
     ``remaining`` is ascending, so without ``greedy`` the first chord is
     taken; with it, the first chord of smallest index, and a chord of
@@ -215,8 +251,8 @@ def _next_chord(sub: Graph, remaining: list[int], greedy: bool):
     """
     best = None
     for c in remaining:
-        flow = characteristic_flow(sub, c)
-        # characteristic_flow divides out gcd(u): num has gcd 1, so r = den
+        flow = _flow_from_row(sub, c, 1, proj[1][sub.position(c)])
+        # _flow_from_row divides out gcd(u): num has gcd 1, so r = den
         r = flow.den
         if best is None or r < best[0]:
             best = (r, c, flow)
@@ -240,15 +276,20 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
     it, so the rescaled flows are triangular with diagonal r_i over the
     basic flows in the chosen order.
 
+    The flows come from one Laplacian solve, g's :func:`_projection`: each
+    subgraph's projection is read from the one before it by
+    :func:`_delete_from_projection`, and each flow from its row by the
+    code of :func:`characteristic_flow`, with the same checks.
+
     Raises ``CapacityError`` before building any representative if their
     number exceeds ``MAX_COSET_REPRESENTATIVES``.
     """
     flows = g.basic_flows()
     remaining = list(flows)
     chords, indices, rescaled = [], [], []
-    sub = g
+    sub, proj = g, _projection(g)
     while remaining:
-        r, c, flow = _next_chord(sub, remaining, greedy)
+        r, c, flow = _next_chord(sub, proj, remaining, greedy)
         remaining.remove(c)
         # phi = r * chi, zero on the chords deleted before this one
         phi = [0] * g.num_edges
@@ -261,6 +302,7 @@ def coset_system(g: Graph, *, greedy: bool = False) -> CosetSystem:
         chords.append(c)
         indices.append(r)
         rescaled.append(tuple(phi))
+        proj = _delete_from_projection(proj, sub.position(c))
         sub = sub.delete([c])
     expected = prod(indices)
     if expected > errors.MAX_COSET_REPRESENTATIVES:

@@ -8,17 +8,20 @@ short-vector search over a Gram matrix, are dense and share one Bareiss
 elimination.  The relation matrices and the monomial evaluation matrices
 are ranked by :func:`rank_int_rows`, a row-by-row echelon reduction in
 integers.  One integer lattice reduction, the row Hermite form of
-:func:`hermite_rows`, a unimodular row-by-row reduction, gives both the
-integer kernels and the Smith invariant factors (alternating row Hermite
-forms); they take and return sparse rows.  A column may be any integer,
-such as the subset mask that names a column of a relation matrix, and
-columns are ordered by their value.
+:func:`hermite_rows`, a unimodular row-by-row triangular pass and then its
+normalisation, gives both the integer kernels and the Smith invariant
+factors (alternating row Hermite forms); they take and return sparse rows.
+The Smith form returns after a triangular pass whose pivots are all +-1,
+which proves every factor is 1, without normalising it.  A column may be
+any integer, such as the subset mask that names a column of a relation
+matrix, and columns are ordered by their value.
 
 Minimum-norm points come from the orthogonal projection onto a kernel, for
 every coordinate at once: one fraction-free integer solve of the Gram
 system mat mat^T with all columns of mat as right-hand sides gives the
-projection as an integer matrix over one denominator; on an incidence
-matrix the Gram system is the graph Laplacian (see :func:`min_norm_affine`).
+projection as an integer matrix over one denominator; on a grounded
+incidence matrix, without the row of one vertex per component, the Gram
+system is the nonsingular grounded Laplacian (see :func:`min_norm_affine`).
 """
 
 from __future__ import annotations
@@ -184,15 +187,24 @@ def smith_normal_form(rows) -> list[int]:
     and Bachem 1979), until the form is diagonal.  Each pass is unimodular,
     so the factors stay.  The first pivot only ever shrinks to a divisor;
     a pass that keeps it splits it off as a 1 x 1 block, because the
-    Hermite form of a lattice is unique, so the passes end.  A form whose
-    pivots are all 1 has a unit minor of full size, and every factor is 1.
-    The diagonal becomes a divisibility chain by (gcd, lcm) replacements.
+    Hermite form of a lattice is unique, so the passes end.  The
+    diagonal becomes a divisibility chain by (gcd, lcm) replacements.
+
+    A pass whose triangular form (:func:`_triangular`) has only pivots
+    +-1 has a unit minor of full size, so every factor is 1: it returns
+    there, before the form is normalised (the grounded relation matrices
+    of all 1,682 corpus-7 graphs, 12,765 of them, do so on their first
+    pass).  Otherwise those same pivot rows are normalised
+    (:func:`_normalise`), so no row is reduced twice.
     """
-    h = hermite_rows(rows)
-    while any(len(row) > 1 for row in h):
-        if all(row[min(row)] == 1 for row in h):
-            return [1] * len(h)
-        h = hermite_rows(_columns(h).values())
+    while True:
+        pivots = _triangular(rows)
+        if all(row[c] in (1, -1) for c, row in pivots.items()):
+            return [1] * len(pivots)
+        h = _normalise(pivots)
+        if all(len(row) == 1 for row in h):
+            break
+        rows = _columns(h).values()
     d = [row[min(row)] for row in h]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -233,13 +245,23 @@ def hermite_rows(rows) -> list[dict[int, int]]:
     ascending pivot order, with positive pivots and the entries above each
     pivot reduced into [0, pivot).  It depends only on the column order.
 
-    The rows are reduced one by one, each step unimodular.  A row's lowest
-    column is cleared against the pivot row that owns it: by an exact
-    multiple when the pivot divides the entry, else by the 2 x 2
-    extended-Euclid step that leaves their gcd in the pivot row.  Then each
-    pivot is made positive and, in ascending pivot order, the entries above
-    it are reduced.  The Hermite form of a lattice is unique, so the order
-    of the steps does not change the result.
+    The unimodular triangular pass of :func:`_triangular`, then the
+    normalisation of :func:`_normalise`.  The Hermite form of a lattice is
+    unique, so the order of the steps does not change the result.
+    """
+    return _normalise(_triangular(rows))
+
+
+def _triangular(rows) -> dict[int, dict[int, int]]:
+    """The pivot rows of a unimodular row-by-row reduction of sparse integer
+    rows (not changed), keyed by their lowest column: an echelon form of
+    the same lattice.
+
+    A row's lowest column is cleared against the pivot row that owns it:
+    by an exact multiple when the pivot divides the entry, else by the
+    2 x 2 extended-Euclid step that leaves their gcd in the pivot row.  A
+    row whose lowest column has no pivot row becomes that column's pivot
+    row.  The rows are copies, so :func:`_normalise` may change them.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -258,6 +280,14 @@ def hermite_rows(rows) -> list[dict[int, int]]:
             # [piv; row] <- [[s, t], [-b/g, a/g]] [piv; row], determinant 1
             pivots[c] = _combination(s, piv, t, row)
             row = _combination(-(b // g), piv, a // g, row)
+    return pivots
+
+
+def _normalise(pivots: dict[int, dict[int, int]]) -> list[dict[int, int]]:
+    """The Hermite form of the pivot rows of :func:`_triangular`, in
+    ascending pivot order: each pivot made positive, then, in ascending
+    pivot order, the entries above it reduced into [0, pivot).  The rows
+    are changed in place."""
     order = sorted(pivots)
     for c in order:
         row = pivots[c]
@@ -310,9 +340,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     """All integer coordinate vectors v with ``v^T gram v <= bound``.
 
-    The Gram matrix (integers or ``Fraction``s) must be symmetric positive
-    definite (checked exactly).  The list is complete, duplicate-free,
-    contains 0 and is symmetric under negation.
+    The Gram matrix (integers or ``Fraction``s; any other entry, a float
+    included, is refused) must be symmetric positive definite (checked
+    exactly).  The list is complete, duplicate-free, contains 0 and is
+    symmetric under negation.
 
     A Fincke-Pohst search in integers over the Bareiss elimination M of
     den * gram, den the lcm of its denominators.  Every leading minor
@@ -334,6 +365,10 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     for i in range(n):
         if len(gram[i]) != n:
             raise InputError("Gram matrix must be square")
+        for x in gram[i]:
+            if not isinstance(x, (int, Fraction)):
+                raise InputError(
+                    f"Gram entry {x!r} is not an int or a Fraction")
         for j in range(i):
             if gram[i][j] != gram[j][i]:
                 raise InputError("Gram matrix must be symmetric")
@@ -366,4 +401,8 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
         vec[i] = 0
 
     descend(n - 1, bound.numerator * den * scale // bound.denominator)
+    # the recursive closure refers to itself through its own cell; emptying
+    # the cell frees it, and with it ``out``, once the caller lets go,
+    # rather than at the next full garbage collection
+    del descend
     return out

@@ -19,6 +19,12 @@ it (minus = out & ~into).  An edge e owns the column sigma | e.
 them to sparse (subset mask, +-1) rows.  Ranks of these matrices give the
 rank sequence independently of the Tutte route.
 
+``relation_matrix`` returns every row of the definition, but the rows of
+each component of X/sigma sum to zero, so the eliminations take them
+grounded (``_grounded_rows``): without the row of each component's least
+vertex, its root, which is minus the sum of the others.  The ranks, the
+Smith factors and the kernels are those of the whole matrix.
+
 The table of the last graph asked for is kept, so the degrees of one graph
 (``rank_sequence``, ``torsion_check``, ``integral_circulations``) share one
 table.  A re-oriented copy is another graph, so its table is built from the
@@ -203,27 +209,48 @@ def _table_rows(table: _ClassTable,
             for v, into, out in ports[part[sigma]])
 
 
+def _grounded_rows(g: Graph, rel: RelationMatrix) -> list:
+    """The rows of a relation matrix of g whose image vertex is not a root
+    of g (``Graph._roots``): one row fewer per component of each X/sigma.
+
+    Contracting sigma keeps the components, and the class of a component's
+    least vertex is labelled by it, so each component of X/sigma has
+    exactly one root among its image vertices.  Every edge outside sigma
+    adds +1 to its head's row and -1 to its tail's, within one component
+    (a loop of X/sigma adds nothing), so the rows of a component sum to
+    zero: the root's row is minus the sum of the others.  The grounded rows
+    span the same lattice, with the same rank, Smith factors and kernel.
+    A list, because the benchmark's row counter takes its length."""
+    roots = g._roots
+    return [row for row, (_, v) in zip(rel.rows, rel.row_labels)
+            if v not in roots]
+
+
 def rank_sequence(g: Graph) -> tuple[int, ...]:
-    """d_j = C(m, j) - rank(relations of degree j) for j = 0..m."""
+    """d_j = C(m, j) - rank(relations of degree j) for j = 0..m, each rank
+    taken on the grounded rows."""
     m = g.num_edges
     require_capacity(m)
     # each matrix is dropped before the next degree is built
-    return tuple(comb(m, j) - rank_int_rows(relation_matrix(g, j).rows)
+    return tuple(comb(m, j)
+                 - rank_int_rows(_grounded_rows(g, relation_matrix(g, j)))
                  for j in range(m + 1))
 
 
 def torsion_check(g: Graph, j: int) -> bool:
     """True iff the degree-j quotient is free: every nonzero invariant
-    factor of the relation matrix equals 1."""
-    return all(f == 1 for f in smith_normal_form(relation_matrix(g, j).rows))
+    factor of the relation matrix, taken on its grounded rows, equals 1."""
+    rows = _grounded_rows(g, relation_matrix(g, j))
+    return all(f == 1 for f in smith_normal_form(rows))
 
 
 def integral_circulations(g: Graph, j: int) -> list[Circulation]:
-    """Basis of the integer kernel of the degree-j relation matrix, in row
-    Hermite form over the subset basis, as circulations over Z."""
+    """Basis of the integer kernel of the degree-j relation matrix (of its
+    grounded rows), in row Hermite form over the subset basis, as
+    circulations over Z."""
     rel = relation_matrix(g, j)
-    return [Circulation(ZZ, v)
-            for v in integer_kernel_basis(rel.rows, rel.basis)]
+    return [Circulation(ZZ, v) for v in
+            integer_kernel_basis(_grounded_rows(g, rel), rel.basis)]
 
 
 def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
@@ -233,7 +260,8 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     The lattice L is an integer kernel, so it is saturated and a direct
     summand of Z^N on the degree-(i+j) subset basis; the torsion of L / S
     is therefore that of Z^N / S, the Smith form of the product rows.
-    Each product is checked to annihilate the degree-(i+j) relations.
+    Each product is checked to annihilate the degree-(i+j) relations, on
+    their grounded rows, whose span holds every row.
 
     Degenerate degrees (rank-zero lattice, e.g. any forest) yield the
     trivial group, reported as an empty tuple.
@@ -245,7 +273,8 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     if i + j > m:
         return ()
     rel = relation_matrix(g, i + j)
-    d = len(rel.basis) - rank_int_rows(rel.rows)
+    rows = _grounded_rows(g, rel)
+    d = len(rel.basis) - rank_int_rows(rows)
     if not d:
         return ()
     low_i = integral_circulations(g, i)
@@ -256,7 +285,7 @@ def product_torsion(g: Graph, i: int, j: int) -> tuple[int, ...]:
     for phi in low_i:
         for theta in low_j:
             prod = phi * theta
-            if not prod.annihilates(rel.rows):
+            if not prod.annihilates(rows):
                 raise check_failed(g, "product membership",
                                    f"a product of degrees {i} and {j} is "
                                    f"not a degree-{i + j} circulation")

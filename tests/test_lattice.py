@@ -10,12 +10,14 @@ import flowalg.errors as errors
 import flowalg.lattice as lattice_mod
 from flowalg.cli import parse_graph
 from flowalg.errors import CapacityError, CheckError, InputError
+from flowalg.corpus import connected_multigraphs
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
-                           dipole_graph, path_graph)
+                           dipole_graph, disjoint_union, path_graph)
 from flowalg.lattice import (CharacteristicFlow, characteristic_flow,
                              codichromatic_compare,
                              coset_system, flows_of_norm, lattice,
                              theta_enumerate, theta_product)
+from flowalg.linalg import min_norm_affine
 from flowalg.series import QSeries
 from flowalg.tutte import complexity
 
@@ -124,10 +126,47 @@ def test_one_solve_serves_every_edge_and_chord(monkeypatch,
         for direction in (1, -1):
             characteristic_flow(g, eid, direction)
     assert calls == [6]
-    # the graph itself is cached; then one solve per chord deleted
+    # the graph itself is cached, and each chord deleted downdates it
     system = coset_system(g, greedy=True)
-    assert calls == [6, 5, 4]
+    assert calls == [6]
     assert len(system.chords) == 3
+
+
+def projection_matrix(proj):
+    """den^-1 u of a projection ``(den, u)``, as ``Fraction`` rows."""
+    den, u = proj
+    return [[F(x, den) for x in row] for row in u]
+
+
+def test_downdate_matches_a_fresh_solve_along_every_coset_system(
+        fresh_projection):
+    for g in [*connected_multigraphs(6), complete_graph(4),
+              disjoint_union(cycle_graph(3), dipole_graph(3))]:
+        proj = lattice_mod._projection(g)
+        sub = g
+        chords = coset_system(g, greedy=True).chords
+        for c in (None, *chords):
+            if c is not None:
+                proj = lattice_mod._delete_from_projection(
+                    proj, sub.position(c))
+                sub = sub.delete([c])
+            fresh = min_norm_affine(sub.incidence_rows(), sub.num_edges)
+            assert projection_matrix(proj) == projection_matrix(fresh), (
+                g.edges, c)
+        # the last chord deleted leaves a forest, whose flow space is zero
+        assert not any(map(any, proj[1]))
+
+
+def test_coset_system_flows_pass_the_flow_checks(monkeypatch,
+                                                 fresh_projection):
+    # the flows of chord-deleted subgraphs come from the downdate, not from
+    # characteristic_flow, and still meet the potential checks
+    g = complete_graph(4)
+    monkeypatch.setattr(lattice_mod, "_integrate_potential",
+                        lambda graph, eid, chi, base:
+                        {v: 0 for v in graph.vertices})
+    with pytest.raises(CheckError, match="potential norm"):
+        coset_system(g, greedy=True)
 
 
 def reference_coset_system(g, greedy):

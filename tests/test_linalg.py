@@ -5,6 +5,7 @@ from math import floor, gcd, isqrt
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+import flowalg.linalg as linalg_mod
 from flowalg.cli import parse_graph
 from flowalg.corpus import connected_multigraphs
 from flowalg.errors import InputError
@@ -92,6 +93,36 @@ def determinantal_factors(mat):
 @example([[0, 0, 0], [6, 4, 0], [6, 4, 0]])
 def test_smith_matches_determinantal_divisors(mat):
     assert smith_normal_form(sparse(mat)) == determinantal_factors(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+    max_size=4)))
+@example([[2, 0], [0, 1]])
+@example([[1, 1], [1, -1]])
+def test_unit_pivot_exit_matches_determinantal_divisors(mat):
+    # small entries make unit triangular pivots common, so this is where
+    # the exit could report "free" for a matrix with a factor above 1
+    assert smith_normal_form(sparse(mat)) == determinantal_factors(mat)
+
+
+def test_torsion_goes_through_the_normalisation(monkeypatch):
+    normalised = []
+    real = linalg_mod._normalise
+
+    def spy(pivots):
+        normalised.append(sorted(pivots))
+        return real(pivots)
+
+    monkeypatch.setattr(linalg_mod, "_normalise", spy)
+    # unit pivots: every factor is 1, and nothing is normalised
+    assert smith_normal_form(sparse([[1, 2], [0, -1]])) == [1, 1]
+    assert normalised == []
+    # the pivot 2 is no certificate: the form is normalised, and it is
+    # diagonal, so the factors are read from it
+    assert smith_normal_form(sparse([[2, 0], [0, 1]])) == [1, 2]
+    assert normalised == [[0, 1]]
 
 
 def test_smith_factors_divisibility_chain():
@@ -372,6 +403,12 @@ def test_enumerate_rejects_bad_gram():
         enumerate_by_norm([[1, 2], [3, 1]], 4)  # not symmetric
     with pytest.raises(InputError):
         enumerate_by_norm([[1, 2], [2, 1]], 4)  # indefinite
+
+
+@pytest.mark.parametrize("gram", [[[2.0]], [["2"]], [[2, 1], [1, 2.5]]])
+def test_enumerate_refuses_a_gram_entry_that_is_not_exact(gram):
+    with pytest.raises(InputError, match="is not an int or a Fraction"):
+        enumerate_by_norm(gram, 4)
 
 
 @pytest.mark.parametrize("gram", [

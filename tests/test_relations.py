@@ -8,9 +8,11 @@ from flowalg.circulation import ZZ, Circulation, subset_masks
 from flowalg.corpus import connected_multigraphs
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (Graph, bouquet_graph, build, complete_graph,
-                           cycle_graph, path_graph)
-from flowalg.linalg import det_int, rank_int_rows, smith_normal_form
-from flowalg.relations import (RelationMatrix, _class_table,
+                           cycle_graph, dipole_graph, disjoint_union,
+                           path_graph)
+from flowalg.linalg import (det_int, integer_kernel_basis, rank_int_rows,
+                            smith_normal_form)
+from flowalg.relations import (RelationMatrix, _class_table, _grounded_rows,
                                integral_circulations, product_torsion,
                                rank_sequence, relation_matrix, torsion_check)
 
@@ -144,6 +146,30 @@ def test_relation_rows_supported_on_extensions():
     for row, (sigma, _) in zip(rel.rows, rel.row_labels):
         for mask, _ in row:
             assert mask & sigma == sigma  # column contains the contraction set
+
+
+def test_grounding_keeps_the_row_lattice(corpus5):
+    # the rows of each component of X/sigma sum to zero, so the rows of
+    # the roots, one per component, are dropped without changing the rank,
+    # the Smith factors or the integer kernel
+    two_parts = disjoint_union(cycle_graph(3), disjoint_union(
+        dipole_graph(2), build([(1, 1, 1)], isolated=[2])))
+    for g in [*corpus5, two_parts]:
+        _, least = g.components()
+        for j in range(g.num_edges + 1):
+            rel = relation_matrix(g, j)
+            sums = {}
+            for row, (sigma, v) in zip(rel.rows, rel.row_labels):
+                acc = sums.setdefault((sigma, least[v]), {})
+                for mask, coef in row:
+                    acc[mask] = acc.get(mask, 0) + coef
+            assert all(not any(acc.values()) for acc in sums.values())
+            grounded = _grounded_rows(g, rel)
+            assert len(rel.rows) - len(grounded) == len(sums), (g.edges, j)
+            assert rank_int_rows(grounded) == rank_int_rows(rel.rows)
+            assert smith_normal_form(grounded) == smith_normal_form(rel.rows)
+            assert (integer_kernel_basis(grounded, rel.basis)
+                    == integer_kernel_basis(rel.rows, rel.basis))
 
 
 def test_rank_sequence_examples():

@@ -18,7 +18,8 @@ change won, by the metric's ``better`` direction, and a verdict; for a
 workload whose items are commands (``figure-cli``), each command's median
 latency per side, the median over the runs of each run's median, read
 from the results file the run writes, so a gain can be traced to the
-commands that carry it; and the machine: ``nproc``, the number of CPUs
+commands that carry it; the CPU seconds of each run's process tree (see
+below); and the machine: ``nproc``, the number of CPUs
 this process may run on (``os.sched_getaffinity``), as ``perfbench/run.py``
 counts them, ``cpu_count``, the machine's CPUs (``os.cpu_count``), Python
 version and whether the child interpreters write bytecode.  They inherit
@@ -26,6 +27,18 @@ this process's environment, so ``PYTHONDONTWRITEBYTECODE`` decides it.
 Without a bytecode cache every fresh process compiles each module it
 imports, which makes cold-import metrics such as ``figure-cli``
 ``setup_s`` about 30% higher.
+
+Each run also records ``cpu_s``, the user and system CPU seconds of
+``perfbench/run.py`` and every process it waited for, read from
+``resource.getrusage(RUSAGE_CHILDREN)`` before and after the run.  Per
+workload the output gives both sides' summaries, the median ratio
+(change / parent) and the pairs the change won (less CPU time).  CPU time
+separates the code's own cost from the machine's drift: the wall metrics
+of one commit have moved by up to +42% between sessions on a shared
+machine, and all 14 ``figure-cli`` commands by +1-4% together, including
+commands whose code did not change, while CPU time does not count the
+time the run waits for a CPU that other tenants hold.  It still moves with
+the clock speed of the machine.
 
 Before the pairs, each workload runs traced in the change's tree,
 
@@ -64,6 +77,7 @@ import json
 import os
 import pathlib
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -112,16 +126,24 @@ def command_latencies(items: list[dict]) -> dict:
     return {c: statistics.median(v) for c, v in by_command.items()}
 
 
+def children_cpu_s() -> float:
+    """User and system CPU seconds of every child process waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: pathlib.Path, workload: str, seed: int,
              seconds: float) -> dict:
     """One benchmark run in ``tree``: its printed result, with the wall
-    time of the whole run and the median latency of each command it ran,
-    read from its results file."""
+    time and the CPU time of the whole run, and the median latency of each
+    command it ran, read from its results file."""
     started = time.perf_counter()
+    cpu_before = children_cpu_s()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    cpu_s = round(children_cpu_s() - cpu_before, 3)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{workload} seed {seed} in {tree} printed "
@@ -131,7 +153,7 @@ def run_once(tree: pathlib.Path, workload: str, seed: int,
     items = results_file(tree, workload, seed, 0)["items"]
     return {"returncode": proc.returncode, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "run_s": run_s,
+            "run_s": run_s, "cpu_s": cpu_s,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "command_latency_s": command_latencies(items)}
 
@@ -210,6 +232,21 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def compare_cpu(pairs: list[dict]) -> dict:
+    """Both sides' CPU seconds per run and their summaries, the median
+    ratio (change / parent) and the number of pairs in which the change
+    took less CPU time."""
+    before = [p["parent"]["cpu_s"] for p in pairs]
+    after = [p["change"]["cpu_s"] for p in pairs]
+    parent, change = summary(before), summary(after)
+    return {"parent": {**parent, "values": before},
+            "change": {**change, "values": after},
+            "median_ratio": (change["median"] / parent["median"]
+                             if parent["median"] else None),
+            "pairs_won": sum(a < b for b, a in zip(before, after)),
+            "pairs": len(pairs)}
+
+
 def compare_commands(pairs: list[dict]) -> dict:
     """Per command: each side's median, over the runs, of the run's median
     latency, and their ratio (change / parent), so a gain can be traced to
@@ -277,17 +314,23 @@ def main() -> int:
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
             metrics = compare(pairs, spec["end_to_end"])
+            cpu = compare_cpu(pairs)
             commands = compare_commands(pairs)
             record["workloads"][workload] = {
                 "runs": pairs,
                 "all_correct": all(p[s]["correct"] for p in pairs
                                    for s in ("parent", "change")),
-                "metrics": metrics}
+                "metrics": metrics,
+                "cpu_s": cpu}
             if commands:
                 record["workloads"][workload]["command_latency_s"] = commands
             for command, c in commands.items():
                 print(f"{workload} {command!r}: {c['parent']:.4g} -> "
                       f"{c['change']:.4g} s", file=sys.stderr, flush=True)
+            print(f"{workload} cpu_s: {cpu['parent']['median']:.4g} -> "
+                  f"{cpu['change']['median']:.4g}, ratio "
+                  f"{cpu['median_ratio']:.3f}, won {cpu['pairs_won']} of "
+                  f"{cpu['pairs']}", file=sys.stderr, flush=True)
             for name, m in metrics.items():
                 move = m["move_vs_bound"]
                 move = "n/a" if move is None else f"{move:+.3f}"
