@@ -30,9 +30,13 @@ imports, which makes cold-import metrics such as ``figure-cli``
 
 Each run also records ``cpu_s``, the user and system CPU seconds of
 ``perfbench/run.py`` and every process it waited for, read from
-``resource.getrusage(RUSAGE_CHILDREN)`` before and after the run.  Per
-workload the output gives both sides' summaries, the median ratio
-(change / parent) and the pairs the change won (less CPU time).  CPU time
+``resource.getrusage(RUSAGE_CHILDREN)`` before and after the run.  A
+``figure-cli`` run lasts a fixed time, so its CPU time follows the
+duration, not the code; the comparison is therefore of ``cpu_s`` per
+attempted item (on the corpus workloads both sides of a pair attempt the
+same sample).  Per workload the output gives both sides' summaries of it,
+the median ratio (change / parent) and the pairs the change won (less
+CPU time per item).  CPU time
 separates the code's own cost from the machine's drift: the wall metrics
 of one commit have moved by up to +42% between sessions on a shared
 machine, and all 14 ``figure-cli`` commands by +1-4% together, including
@@ -233,11 +237,11 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def compare_cpu(pairs: list[dict]) -> dict:
-    """Both sides' CPU seconds per run and their summaries, the median
-    ratio (change / parent) and the number of pairs in which the change
-    took less CPU time."""
-    before = [p["parent"]["cpu_s"] for p in pairs]
-    after = [p["change"]["cpu_s"] for p in pairs]
+    """Both sides' CPU seconds per attempted item in each run and their
+    summaries, the median ratio (change / parent) and the number of pairs
+    in which the change took less CPU time per item."""
+    before, after = ([p[side]["cpu_s"] / p[side]["attempted"] for p in pairs]
+                     for side in ("parent", "change"))
     parent, change = summary(before), summary(after)
     return {"parent": {**parent, "values": before},
             "change": {**change, "values": after},
@@ -321,13 +325,14 @@ def main() -> int:
                 "all_correct": all(p[s]["correct"] for p in pairs
                                    for s in ("parent", "change")),
                 "metrics": metrics,
-                "cpu_s": cpu}
+                "cpu_s_per_item": cpu}
             if commands:
                 record["workloads"][workload]["command_latency_s"] = commands
             for command, c in commands.items():
                 print(f"{workload} {command!r}: {c['parent']:.4g} -> "
                       f"{c['change']:.4g} s", file=sys.stderr, flush=True)
-            print(f"{workload} cpu_s: {cpu['parent']['median']:.4g} -> "
+            print(f"{workload} cpu_s per item: "
+                  f"{cpu['parent']['median']:.4g} -> "
                   f"{cpu['change']['median']:.4g}, ratio "
                   f"{cpu['median_ratio']:.3f}, won {cpu['pairs_won']} of "
                   f"{cpu['pairs']}", file=sys.stderr, flush=True)
