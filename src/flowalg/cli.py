@@ -6,12 +6,14 @@ order fixes the reference orientation and every deterministic tie-break.
 Reports are JSON documents with a fixed field order; rationals are printed
 exactly as ``p/q`` strings and no floating point appears anywhere.
 
-All commands share one report path.  A ``_cmd_*`` function takes the parsed
-arguments and returns ``(results, report)``: its results, and the
-``CheckReport`` of the checks it ran, or None if it runs none.  ``main``
-alone builds the document (``command``, ``inputs`` with the SHA-256 of each
-graph file the subcommand declares, ``results``, ``checks`` when there is a
-report, ``elapsed_ms``) and picks the exit code.
+All commands share one input path and one report path.  ``main`` alone
+reads each graph file the subcommand declares, once.  A ``_cmd_*`` function
+takes the parsed arguments, then the graphs of those files in order
+(``_cmd_compare(args, g1, g2)``, ``_cmd_corpus(args)``), and returns
+``(results, report)``: its results, and the ``CheckReport`` of the checks it
+ran, or None.  ``main`` alone builds the document (``command``, ``inputs``
+with the SHA-256 of the bytes each graph was parsed from, ``results``,
+``checks`` when there is a report, ``elapsed_ms``) and picks the exit code.
 
 A ``_cmd_*`` function imports the library modules it runs when it is
 called, so a fresh process loads (and, without a bytecode cache, compiles)
@@ -26,6 +28,7 @@ failures never change the exit code.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -46,13 +49,21 @@ DEFAULT_CORPUS_EDGES = 7
 
 def parse_graph(path: str) -> Graph:
     """Read a graph file; malformed lines are reported with their number."""
+    return _read_graph(path)[0]
+
+
+def _read_graph(path: str) -> tuple[Graph, str]:
+    """The graph in a file and the SHA-256 of the bytes it was parsed from."""
+    import hashlib  # loads OpenSSL: only reading a file pays it
     vertices: list[int] = []
     vset: set[int] = set()
     edges: list[tuple[int, int, int]] = []
     eids: set[int] = set()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # text mode's universal newlines: str.splitlines() also splits \f, \v
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -86,7 +97,8 @@ def parse_graph(path: str) -> Graph:
             edges.append((eid, tail, head))
         else:
             raise InputError(f"{path}:{lineno}: unrecognized line {line!r}")
-    return Graph(tuple(sorted(vertices)), tuple(edges))
+    return (Graph(tuple(sorted(vertices)), tuple(edges)),
+            hashlib.sha256(data).hexdigest())
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -101,20 +113,12 @@ def _series(series) -> list:
     return [[_frac(e), c] for e, c in series.terms]
 
 
-def _digest(path: str) -> str:
-    import hashlib  # loads OpenSSL: only commands that read a file pay it
-    h = hashlib.sha256()
-    with open(path, "rb") as handle:
-        h.update(handle.read())
-    return h.hexdigest()
-
-
 # -- command implementations -------------------------------------------------
 
 
-def _cmd_tutte(args):
+def _cmd_tutte(args, g):
     from .tutte import tutte
-    t = tutte(parse_graph(args.file))
+    t = tutte(g)
     return {
         "tutte": [[i, j, c] for (i, j), c in t.sorted_items()],
         "t_1_1": int(t(1, 1)),
@@ -122,16 +126,15 @@ def _cmd_tutte(args):
     }, None
 
 
-def _cmd_poincare(args):
+def _cmd_poincare(args, g):
     from .tutte import poincare
-    return {"poincare": poincare(parse_graph(args.file))}, None
+    return {"poincare": poincare(g)}, None
 
 
-def _cmd_ranks(args):
+def _cmd_ranks(args, g):
     from .circulation import monomial_dimensions
     from .relations import rank_sequence
     from .tutte import poincare, trimmed
-    g = parse_graph(args.file)
     if args.oracle != "tutte":  # refused before the Tutte route runs
         require_capacity(g.num_edges)
     routes = {"tutte": poincare, "relations": rank_sequence,
@@ -147,11 +150,10 @@ def _cmd_ranks(args):
     return results, report
 
 
-def _cmd_lattice(args):
+def _cmd_lattice(args, g):
     from math import prod
     from .lattice import coset_system, lattice
     from .tutte import complexity
-    g = parse_graph(args.file)
     lat = lattice(g)
     system = coset_system(g)
     return {
@@ -166,11 +168,10 @@ def _cmd_lattice(args):
     }, None
 
 
-def _cmd_char_flow(args):
+def _cmd_char_flow(args, g):
     from fractions import Fraction
     from .lattice import characteristic_flow
     from .tutte import complexity
-    g = parse_graph(args.file)
     direction = -1 if args.reverse else 1
     flow = characteristic_flow(g, args.edge, direction)
     kappa = complexity(g)
@@ -188,9 +189,8 @@ def _cmd_char_flow(args):
     return results, report
 
 
-def _cmd_theta(args):
+def _cmd_theta(args, g):
     from .lattice import theta_enumerate, theta_product
-    g = parse_graph(args.file)
     results = {"max-norm": args.max_norm}
     if args.method in ("product", "both"):
         results["product"] = _series(theta_product(g, args.max_norm))
@@ -204,16 +204,14 @@ def _cmd_theta(args):
     return results, report
 
 
-def _cmd_flows_of_norm(args):
+def _cmd_flows_of_norm(args, g):
     from .lattice import flows_of_norm
-    g = parse_graph(args.file)
     return {"norm": args.norm, "count": flows_of_norm(g, args.norm)}, None
 
 
-def _cmd_compare(args):
+def _cmd_compare(args, g1, g2):
     from .lattice import codichromatic_compare
-    rep = codichromatic_compare(parse_graph(args.file1),
-                                parse_graph(args.file2), args.max_norm)
+    rep = codichromatic_compare(g1, g2, args.max_norm)
     first = rep["theta_first_difference"]
     return {
         "tutte-equal": rep["tutte_equal"],
@@ -223,9 +221,8 @@ def _cmd_compare(args):
     }, None
 
 
-def _cmd_torsion(args):
+def _cmd_torsion(args, g):
     from .relations import product_torsion
-    g = parse_graph(args.file)
     try:
         i_str, j_str = args.degrees.split(",")
         i, j = int(i_str), int(j_str)
@@ -237,9 +234,8 @@ def _cmd_torsion(args):
             "group": group}, None
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, g):
     from .verify import verify_graph
-    g = parse_graph(args.file)
     report = verify_graph(g, theta_bound=args.max_norm,
                           trials=args.trials, deep=args.all)
     return {"graph-edges": g.num_edges,
@@ -264,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary, files=("file",)):
         """A subcommand with its positional graph files, which ``main``
-        lists as the report's inputs."""
+        reads and passes to ``func`` after the arguments."""
         p = sub.add_parser(name, help=summary)
         for f in files:
             p.add_argument(f)
@@ -324,7 +320,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        results, report = args.func(args)
+        read = [_read_graph(getattr(args, f)) for f in args.files]
+        results, report = args.func(args, *(g for g, _ in read))
     except CapacityError as exc:
         print(json.dumps({"error": str(exc), "kind": "capacity"}, indent=2))
         return EXIT_CAPACITY
@@ -332,10 +329,10 @@ def main(argv=None) -> int:
         kind = "check" if isinstance(exc, CheckError) else "input"
         print(json.dumps({"error": str(exc), "kind": kind}, indent=2))
         return EXIT_CHECK_FAILURE if kind == "check" else EXIT_INPUT_ERROR
-    paths = [getattr(args, f) for f in args.files]
     doc = {
         "command": args.command,
-        "inputs": [{"path": p, "sha256": _digest(p)} for p in paths],
+        "inputs": [{"path": getattr(args, f), "sha256": sha}
+                   for f, (_, sha) in zip(args.files, read)],
         "results": results,
     }
     if report is not None:

@@ -113,6 +113,14 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     rows are cross-multiplied.  A row whose lowest column has no pivot row
     is divided by the gcd of its entries and becomes that column's pivot
     row.  The input rows are copied, not changed.
+
+    :func:`rank_int_rows` and :func:`min_norm_affine` keep this reduction
+    beside the unimodular :func:`_triangular`, measured on 2 CPUs with
+    Python 3.11.7: ranking by ``len(_triangular(rows))`` gives the same
+    ranks, and takes the K6-e monomial ranks from 9.4 s to 5.5 s, but
+    ``multiplication_rank_check`` on ``fig1_left`` did not finish in 300 s
+    (0.09-0.16 s with this reduction), nor on ``fig1_right`` in 120 s with
+    every row first divided by its content.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:

@@ -61,6 +61,13 @@ def _poly_add(a, b, shift=0):
     return trimmed(out)
 
 
+def _require_bounds(theta_bound, trials: int) -> None:
+    """Refuse a negative theta bound, then a negative trial count."""
+    for name, value in (("theta bound", theta_bound), ("trial count", trials)):
+        if value < 0:
+            raise InputError(f"{name} {value} is negative")
+
+
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
     """Run the full identity and inequality suite on one graph.  A graph
@@ -70,10 +77,7 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
     before any check runs."""
     if not g.vertices:
         raise InputError("verify needs a graph with at least one vertex")
-    if theta_bound < 0:
-        raise InputError(f"theta bound {theta_bound} is negative")
-    if trials < 0:
-        raise InputError(f"trial count {trials} is negative")
+    _require_bounds(theta_bound, trials)
     # the theta product comes first, so that a coset system over its
     # ceiling is refused (CapacityError) before any other work is done
     try:
@@ -210,12 +214,9 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     A trial whose re-oriented copy equals one already checked (the same
     flips, or flips that differ only on loops) is not run again: every
     stage is a deterministic function of the graph, so it would repeat the
-    same answer.  A negative trial count or theta bound raises
+    same answer.  A negative theta bound or trial count raises
     ``InputError`` before any trial runs."""
-    if trials < 0:
-        raise InputError(f"trial count {trials} is negative")
-    if theta_bound < 0:
-        raise InputError(f"theta bound {theta_bound} is negative")
+    _require_bounds(theta_bound, trials)
     ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref = _class_table(g)  # the table rank_sequence has just ranked
@@ -290,10 +291,7 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
     order."""
     from .corpus import connected_multigraphs
 
-    if theta_bound < 0:
-        raise InputError(f"theta bound {theta_bound} is negative")
-    if trials < 0:
-        raise InputError(f"trial count {trials} is negative")
+    _require_bounds(theta_bound, trials)
     graphs = connected_multigraphs(max_edges)
     args = (theta_bound, trials, deep)
     outcomes = _verify_shares(graphs, _worker_count(len(graphs)), args)

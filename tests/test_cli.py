@@ -226,13 +226,40 @@ def test_corpus_command_small(capsys):
     assert doc["results"]["failures"] == []
 
 
-def test_input_error_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("command, good", [("poincare", ()),
+                                            ("compare", ("k4.g",))],
+                         ids=["poincare", "compare-second-file"])
+def test_input_error_exit_code(capsys, tmp_path, graph_dir, command, good):
     path = tmp_path / "bad.g"
     path.write_text("nonsense\n")
-    code = main(["poincare", str(path)])
+    code = main([command, *(str(graph_dir / f) for f in good), str(path)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 2
     assert doc["kind"] == "input"
+    assert doc["error"] == f"{path}:1: unrecognized line 'nonsense'"
+
+
+def test_inputs_hash_the_bytes_that_were_parsed(capsys, monkeypatch,
+                                                tmp_path, graph_dir):
+    """A file rewritten while its command runs is reported with the hash
+    of the bytes the command parsed, not of the new ones."""
+    import hashlib
+    import flowalg.tutte as tutte_mod
+
+    original = (graph_dir / "k4.g").read_bytes()
+    path = tmp_path / "g.g"
+    path.write_bytes(original)
+    real = tutte_mod.poincare
+
+    def rewrite_then_run(g):
+        path.write_text("vertex 1\n")
+        return real(g)
+
+    monkeypatch.setattr(tutte_mod, "poincare", rewrite_then_run)
+    code, doc = run_cli(capsys, "poincare", str(path))
+    assert code == 0
+    assert doc["results"]["poincare"] == [1, 3, 6, 10, 11, 6, 1]
+    assert doc["inputs"][0]["sha256"] == hashlib.sha256(original).hexdigest()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])

@@ -33,8 +33,9 @@ def test_orientation_invariance_holds_on_small_graphs():
 
 
 def test_orientation_invariance_refuses_a_negative_theta_bound():
-    with pytest.raises(InputError):
-        orientation_invariance(complete_graph(4), 3, theta_bound=-1)
+    # named first when the trial count is negative too, as in verify_graph
+    with pytest.raises(InputError, match="theta bound -1 is negative"):
+        orientation_invariance(complete_graph(4), -2, theta_bound=-1)
 
 
 def test_verify_graph_refuses_a_negative_trial_count_first(monkeypatch):
