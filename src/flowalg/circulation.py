@@ -459,10 +459,10 @@ def verify_inequalities(g: Graph) -> CheckReport:
             break
     rep.add("pseudopower-growth", ok)
 
-    flows = basic_flow_circulations(g)
     bound_poly = [1]
-    for beta in flows.values():
-        r = len(beta.table)
+    for flow in g.basic_flows().values():
+        # +-1 on the fundamental cycle, 0 elsewhere: r is the cycle length
+        r = len(flow) - flow.count(0)
         bound_poly = _poly_mul(bound_poly, [1] * (r + 1))
     ok = all(d[j] <= (bound_poly[j] if j < len(bound_poly) else 0)
              for j in range(len(d)))

@@ -21,7 +21,7 @@ on the isomorphism class, so equal forms mean isomorphic graphs.
 from __future__ import annotations
 
 from . import errors
-from .errors import CapacityError, InputError
+from .errors import CapacityError
 from .graph import Graph, build
 
 
@@ -124,10 +124,10 @@ _cache: dict[int, list[Graph]] = {}
 
 def connected_multigraphs(max_edges: int) -> list[Graph]:
     """All connected multigraphs with at most ``max_edges`` edges, one
-    representative per isomorphism class, ordered by edge count.  Bounds
-    above ``MAX_CORPUS_EDGES`` are refused with ``CapacityError``."""
-    if max_edges < 0:
-        raise InputError(f"edge bound {max_edges} is negative")
+    representative per isomorphism class, ordered by edge count.  The
+    bound is checked by ``errors.require_bound``, and one above
+    ``MAX_CORPUS_EDGES`` is refused with ``CapacityError``."""
+    errors.require_bound("edge bound", max_edges)
     if max_edges > errors.MAX_CORPUS_EDGES:
         raise CapacityError(
             f"corpus of {max_edges} edges requested; at most "

@@ -47,3 +47,11 @@ def require_capacity(m: int) -> None:
             f"graph has {m} edges; subset-indexed operations support at most "
             f"{MAX_SUBSET_EDGES}"
         )
+
+
+def require_bound(name: str, value) -> None:
+    """Refuse a bound that is not an int or a ``Fraction``, or is negative."""
+    if not hasattr(value, "denominator"):
+        raise InputError(f"{name} {value!r} is not an int or a Fraction")
+    if value < 0:
+        raise InputError(f"{name} {value} is negative")

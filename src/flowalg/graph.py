@@ -136,12 +136,12 @@ class Graph:
         return self.components()[0]
 
     @cached_property
-    def _roots(self) -> frozenset[int]:
+    def roots(self) -> frozenset[int]:
         """The least vertex of each component, its root.  The incidence
         rows of one component sum to zero, and so do the conservation rows
         of each component of a contraction, whose classes the roots still
-        name; so a system grounded at the roots, without their rows, has
-        the row lattice of the whole one."""
+        name; so a system grounded at the roots, without their rows
+        (:meth:`grounded_incidence`), has the row lattice of the whole."""
         _, least = self.components()
         return frozenset(least.values())
 
@@ -346,8 +346,10 @@ class Graph:
             raise InputError(f"unknown vertex {v}")
         return tuple((head == v) - (tail == v) for _, tail, head in self.edges)
 
-    def incidence_rows(self) -> list[tuple[int, ...]]:
-        return [self.incidence_row(v) for v in self.vertices]
+    def grounded_incidence(self) -> list[tuple[int, ...]]:
+        """The incidence rows of the vertices that are not roots."""
+        roots = self.roots
+        return [self.incidence_row(v) for v in self.vertices if v not in roots]
 
     def reorient(self, edge_ids: Iterable[int]) -> "Graph":
         """Flip the stored direction of the given edges."""

@@ -42,7 +42,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import errors
-from .errors import CapacityError, InputError, check_failed
+from .errors import CapacityError, InputError, check_failed, require_bound
 from .graph import Graph
 from .linalg import det_int, enumerate_by_norm, min_norm_affine
 from .series import QSeries, psi_series
@@ -109,15 +109,12 @@ def _dot(u, v):
 @lru_cache(maxsize=1)
 def _projection(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``min_norm_affine`` of the incidence matrix of g, grounded at its
-    roots (``Graph._roots``; the rows of a component sum to zero, so the
-    flow space is the same): den times the projection onto the flow space,
-    one row per edge position.  The grounded Laplacian is nonsingular.
-    The projection of the last graph is kept, so the edges, both
-    directions and the coset system of one graph share one solve."""
-    roots = g._roots
-    return min_norm_affine(
-        [g.incidence_row(v) for v in g.vertices if v not in roots],
-        g.num_edges)
+    roots (``Graph.grounded_incidence``; the rows of a component sum to
+    zero, so the flow space is the same): den times the projection onto the
+    flow space, one row per edge position.  The grounded Laplacian is
+    nonsingular.  The projection of the last graph is kept, so the edges,
+    both directions and the coset system of one graph share one solve."""
+    return min_norm_affine(g.grounded_incidence(), g.num_edges)
 
 
 def _delete_from_projection(proj, p: int):
@@ -348,11 +345,9 @@ def theta_product(g: Graph, bound) -> QSeries:
     per call for each (translation mod 1, weight): psi sums over all
     integers n, so it does not change when the translation moves by an
     integer.  Inner series are dicts keyed by exponent times lcm(w), which
-    are integers.
+    are integers.  ``errors.require_bound`` checks the bound.
     """
-    bound = Fraction(bound)
-    if bound < 0:
-        raise InputError("truncation bound must be nonnegative")
+    require_bound("theta bound", bound)
     system = coset_system(g, greedy=True)
     flows = g.basic_flows()
     phis, weights = system.rescaled, system.weights
@@ -435,10 +430,8 @@ def theta_enumerate(g: Graph, bound) -> QSeries:
     s^T G' s, where G_0 is the rest of G's first row and G' the Gram matrix
     on s; the last two terms are recomputed only when s changes, which the
     search's order (first coordinate innermost) makes rare.  Any order of
-    the vectors gives the same result."""
-    bound = Fraction(bound)
-    if bound < 0:
-        raise InputError("truncation bound must be nonnegative")
+    the vectors gives the same result.  ``require_bound`` checks the bound."""
+    require_bound("theta bound", bound)
     lat = lattice(g)
     limit = floor(bound)  # norms are integers
     if not lat.gram:  # no chords: the zero vector alone
@@ -462,16 +455,16 @@ def theta_enumerate(g: Graph, bound) -> QSeries:
 
 
 def flows_of_norm(g: Graph, s: int) -> int:
-    """Number of integer flows of squared norm exactly s."""
-    if s < 0:
-        raise InputError("norm must be nonnegative")
+    """Number of integer flows of squared norm exactly s (a bound)."""
+    require_bound("norm", s)
     return theta_enumerate(g, s).coefficient(s)
 
 
 def codichromatic_compare(g1: Graph, g2: Graph, bound) -> dict:
     """Compare two graphs: equality of Tutte polynomials and the first
     exponent at which their theta series differ (None if they agree up to
-    the bound)."""
+    the bound), the bound checked before any work."""
+    require_bound("theta bound", bound)
     t_equal = tutte(g1) == tutte(g2)
     theta1 = theta_enumerate(g1, bound)
     theta2 = theta_enumerate(g2, bound)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import InputError
+from .errors import InputError, require_bound
 
 
 # -- minimum-norm point ---------------------------------------------------
@@ -351,7 +351,7 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     The Gram matrix (integers or ``Fraction``s; any other entry, a float
     included, is refused) must be symmetric positive definite (checked
     exactly).  The list is complete, duplicate-free, contains 0 and is
-    symmetric under negation.
+    symmetric under negation.  ``errors.require_bound`` checks the bound.
 
     A Fincke-Pohst search in integers over the Bareiss elimination M of
     den * gram, den the lcm of its denominators.  Every leading minor
@@ -364,10 +364,8 @@ def enumerate_by_norm(gram, bound) -> list[tuple[int, ...]]:
     coordinate's range follows from ``isqrt`` and the remainder stays an
     integer.  Coordinates ascend, last coordinate outermost.
     """
+    require_bound("norm bound", bound)
     n = len(gram)
-    bound = Fraction(bound)
-    if bound < 0:
-        raise InputError("norm bound must be nonnegative")
     if n == 0:
         return [()]
     for i in range(n):

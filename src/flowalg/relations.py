@@ -211,7 +211,7 @@ def _table_rows(table: _ClassTable,
 
 def _grounded_rows(g: Graph, rel: RelationMatrix) -> list:
     """The rows of a relation matrix of g whose image vertex is not a root
-    of g (``Graph._roots``): one row fewer per component of each X/sigma.
+    of g (``Graph.roots``): one row fewer per component of each X/sigma.
 
     Contracting sigma keeps the components, and the class of a component's
     least vertex is labelled by it, so each component of X/sigma has
@@ -221,7 +221,7 @@ def _grounded_rows(g: Graph, rel: RelationMatrix) -> list:
     zero: the root's row is minus the sum of the others.  The grounded rows
     span the same lattice, with the same rank, Smith factors and kernel.
     A list, because the benchmark's row counter takes its length."""
-    roots = g._roots
+    roots = g.roots
     return [row for row, (_, v) in zip(rel.rows, rel.row_labels)
             if v not in roots]
 

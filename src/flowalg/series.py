@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, require_bound
 
 
 class QSeries(NamedTuple):
@@ -21,6 +21,8 @@ class QSeries(NamedTuple):
 
     @staticmethod
     def from_dict(coeffs: dict[Fraction, int], bound) -> "QSeries":
+        """The nonzero terms up to the bound (see ``require_bound``)."""
+        require_bound("truncation bound", bound)
         bound = Fraction(bound)
         items = []
         for e, c in coeffs.items():
@@ -83,16 +85,17 @@ def psi_series(alpha, w: int, bound) -> QSeries:
     integers n, truncated at exponents <= bound.
 
     The coefficient at exponent x counts the integers n with
-    w(n+alpha)^2 = x.
+    w(n+alpha)^2 = x.  alpha must be an int or a ``Fraction`` and w a
+    positive int; ``errors.require_bound`` checks the bound.
     """
-    if w < 1:
-        raise InputError("weight w must be a positive integer")
+    if not isinstance(w, int) or w < 1:
+        raise InputError(f"weight {w!r} is not a positive int")
+    if not isinstance(alpha, (int, Fraction)):
+        raise InputError(f"translation {alpha!r} is not an int or a Fraction")
+    require_bound("truncation bound", bound)
     alpha = Fraction(alpha)
-    bound = Fraction(bound)
-    if bound < 0:
-        raise InputError("truncation bound must be nonnegative")
     acc: dict[Fraction, int] = {}
-    for n in _int_range_sq(alpha, bound / w):
+    for n in _int_range_sq(alpha, Fraction(bound, w)):
         e = w * (n + alpha) ** 2
         acc[e] = acc.get(e, 0) + 1
     return QSeries.from_dict(acc, bound)

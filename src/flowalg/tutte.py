@@ -297,8 +297,7 @@ def count_spanning_forests(g: Graph) -> int:
     determinant of the Laplacian B B^T without the least vertex of each
     component (B the incidence matrix, in which a loop's column is zero)."""
     from .linalg import det_int  # ``flowalg poincare`` loads no linalg
-    roots = g._roots
-    rows = [g.incidence_row(v) for v in g.vertices if v not in roots]
+    rows = g.grounded_incidence()
     return det_int([[sum(a * b for a, b in zip(r, s)) for s in rows]
                     for r in rows])
 

@@ -26,7 +26,7 @@ import threading
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           verify_inequalities)
-from .errors import CheckError, FlowAlgError, InputError
+from .errors import CheckError, FlowAlgError, InputError, require_bound
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (_dot, characteristic_flow, lattice, theta_enumerate,
@@ -61,23 +61,18 @@ def _poly_add(a, b, shift=0):
     return trimmed(out)
 
 
-def _require_bounds(theta_bound, trials: int) -> None:
-    """Refuse a negative theta bound, then a negative trial count."""
-    for name, value in (("theta bound", theta_bound), ("trial count", trials)):
-        if value < 0:
-            raise InputError(f"{name} {value} is negative")
-
-
 def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
                  deep: bool = False) -> CheckReport:
     """Run the full identity and inequality suite on one graph.  A graph
-    with no vertex (the one-point-union check needs a vertex to glue at), a
-    negative theta bound or trial count raise ``InputError``, and a coset
-    system over ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``,
-    before any check runs."""
+    with no vertex (the one-point-union check needs a vertex to glue at)
+    raises ``InputError``, the theta bound and then the trial count are
+    refused as ``errors.require_bound`` says, and a coset system over
+    ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``, before any
+    check runs."""
     if not g.vertices:
         raise InputError("verify needs a graph with at least one vertex")
-    _require_bounds(theta_bound, trials)
+    require_bound("theta bound", theta_bound)
+    require_bound("trial count", trials)
     # the theta product comes first, so that a coset system over its
     # ceiling is refused (CapacityError) before any other work is done
     try:
@@ -214,9 +209,10 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     A trial whose re-oriented copy equals one already checked (the same
     flips, or flips that differ only on loops) is not run again: every
     stage is a deterministic function of the graph, so it would repeat the
-    same answer.  A negative theta bound or trial count raises
-    ``InputError`` before any trial runs."""
-    _require_bounds(theta_bound, trials)
+    same answer.  The theta bound and then the trial count are refused as
+    ``errors.require_bound`` says, before any trial runs."""
+    require_bound("theta bound", theta_bound)
+    require_bound("trial count", trials)
     ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref = _class_table(g)  # the table rank_sequence has just ranked
@@ -282,8 +278,8 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
 
     Returns the results of ``flowalg corpus``: graph count, check count, and
     the failures (graph edge list plus check name), exploratory ones apart.
-    A negative theta bound or trial count raises ``InputError`` before the
-    corpus is generated.
+    The theta bound and then the trial count are refused as
+    ``errors.require_bound`` says, before the corpus is generated.
 
     The graphs are verified on every CPU the process may use (see
     ``_verify_shares``).  The results, and the error raised when a graph
@@ -291,7 +287,8 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
     order."""
     from .corpus import connected_multigraphs
 
-    _require_bounds(theta_bound, trials)
+    require_bound("theta bound", theta_bound)
+    require_bound("trial count", trials)
     graphs = connected_multigraphs(max_edges)
     args = (theta_bound, trials, deep)
     outcomes = _verify_shares(graphs, _worker_count(len(graphs)), args)

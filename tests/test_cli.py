@@ -188,6 +188,7 @@ def test_verify_refuses_negative_trials(capsys, graph_dir):
                         "--trials", "-3")
     assert code == 2
     assert doc["kind"] == "input"
+    assert doc["error"] == "trial count -3 is negative"
 
 
 def test_verify_refuses_negative_theta_bound(capsys, graph_dir):
@@ -195,6 +196,7 @@ def test_verify_refuses_negative_theta_bound(capsys, graph_dir):
                         "--max-norm", "-5")
     assert code == 2
     assert doc["kind"] == "input"
+    assert doc["error"] == "theta bound -5 is negative"
 
 
 def test_verify_refuses_a_graph_with_no_vertices(capsys, tmp_path):
@@ -211,12 +213,31 @@ def test_corpus_refuses_negative_theta_bound(capsys):
                         "--max-norm", "-1")
     assert code == 2
     assert doc["kind"] == "input"
+    assert doc["error"] == "theta bound -1 is negative"
 
 
 def test_corpus_refuses_negative_edge_bound(capsys):
     code, doc = run_cli(capsys, "corpus", "--max-edges", "-1")
     assert code == 2
     assert doc["kind"] == "input"
+    assert doc["error"] == "edge bound -1 is negative"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("theta", "k4.g", "--max-norm", "-1"), "theta bound -1 is negative"),
+    (("theta", "k4.g", "--method", "enumerate", "--max-norm", "-2"),
+     "theta bound -2 is negative"),
+    (("compare", "k4.g", "k4.g", "--max-norm", "-1"),
+     "theta bound -1 is negative"),
+    (("flows-of-norm", "k4.g", "--norm", "-3"), "norm -3 is negative"),
+])
+def test_lattice_commands_refuse_negative_bounds(capsys, graph_dir, argv,
+                                                 error):
+    argv = [str(graph_dir / a) if a.endswith(".g") else a for a in argv]
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2
+    assert doc["kind"] == "input"
+    assert doc["error"] == error
 
 
 def test_corpus_command_small(capsys):

@@ -99,7 +99,7 @@ def test_norm_identity():
 def test_characteristic_flow_matches_the_rational_solve(g):
     """Every non-cut edge, both directions: chi is the per-edge rational
     solve, held in lowest terms over its denominator."""
-    mat = [list(row) for row in g.incidence_rows()]
+    mat = [list(g.incidence_row(v)) for v in g.vertices]
     for eid in g.edge_ids:
         if reference_is_cut_edge(g, eid):
             continue
@@ -150,7 +150,8 @@ def test_downdate_matches_a_fresh_solve_along_every_coset_system(
                 proj = lattice_mod._delete_from_projection(
                     proj, sub.position(c))
                 sub = sub.delete([c])
-            fresh = min_norm_affine(sub.incidence_rows(), sub.num_edges)
+            fresh = min_norm_affine(
+                [sub.incidence_row(v) for v in sub.vertices], sub.num_edges)
             assert projection_matrix(proj) == projection_matrix(fresh), (
                 g.edges, c)
         # the last chord deleted leaves a forest, whose flow space is zero
@@ -176,7 +177,7 @@ def reference_coset_system(g, greedy):
     chords, indices, rescaled = [], [], []
     sub = g
     while remaining:
-        mat = [list(row) for row in sub.incidence_rows()]
+        mat = [list(sub.incidence_row(v)) for v in sub.vertices]
         best = None
         for c in remaining:
             chi = min_norm_affine_rational(mat, sub.position(c), 1,

@@ -332,7 +332,7 @@ def test_min_norm_affine_matches_rational_solve_on_graphs(graph_dir):
     graphs = [parse_graph(str(p)) for p in sorted(graph_dir.glob("*.g"))]
     feasible = 0
     for g in graphs + [k6e]:
-        mat = [list(row) for row in g.incidence_rows()]
+        mat = [list(g.incidence_row(v)) for v in g.vertices]
         for i in range(g.num_edges):
             for value in (1, -1, F(2, 3)):
                 feasible += _same_min_norm_point(mat, i, value, g.num_edges)

@@ -40,6 +40,16 @@ def test_psi_rejects_bad_weight():
         psi_series(0, 0, 4)
 
 
+@pytest.mark.parametrize("alpha, w, message", [
+    # Fraction(0.1) would give exponents over 2^110
+    (0.1, 1, "translation 0.1 is not an int or a Fraction"),
+    (0, 1.5, "weight 1.5 is not a positive int"),
+])
+def test_psi_refuses_inexact_input(alpha, w, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        psi_series(alpha, w, 4)
+
+
 def test_qseries_drops_zero_coefficients():
     s = QSeries.from_dict({F(1): 5, F(2): 0}, 9)
     assert s.terms == ((F(1), 5),)
