@@ -24,7 +24,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
-from .errors import InputError, check_failed, require_capacity
+from .errors import (InputError, check_failed, require_capacity,
+                     require_count)
 from .graph import Graph, _components
 from .linalg import rank_int_rows
 from .report import CheckReport
@@ -138,11 +139,7 @@ class Circulation:
         return Circulation(self.ring, acc)
 
     def __sub__(self, other: "Circulation") -> "Circulation":
-        self._require_same_ring(other)
-        acc = dict(self.table)
-        for m, v in other.table.items():
-            acc[m] = acc.get(m, 0) - v
-        return Circulation(self.ring, acc)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Circulation":
         c = self.ring.coerce(c)
@@ -322,9 +319,11 @@ def subset_masks(m: int, j: int) -> tuple[int, ...]:
 
 def macaulay_representation(a: int, j: int) -> list[tuple[int, int]]:
     """The unique expansion of a as a sum of binomials C(a_j, j) +
-    C(a_{j-1}, j-1) + ... with strictly decreasing tops."""
-    if a < 0 or j < 1:
-        raise InputError("need a >= 0 and j >= 1")
+    C(a_{j-1}, j-1) + ... with strictly decreasing tops, for an int
+    a >= 0 and an int j >= 1."""
+    require_count("Macaulay value", a)
+    if not isinstance(j, int) or j < 1:
+        raise InputError(f"Macaulay degree {j!r} is not a positive int")
     rep = []
     k = j
     rem = a
@@ -341,8 +340,6 @@ def macaulay_representation(a: int, j: int) -> list[tuple[int, int]]:
 def pseudopower(a: int, j: int) -> int:
     """Macaulay growth bound: shift every binomial of the representation of
     ``a`` up by one in both arguments and re-sum.  Returns 0 for a = 0."""
-    if a == 0:
-        return 0
     return sum(comb(t + 1, k + 1) for t, k in macaulay_representation(a, j))
 
 

@@ -125,9 +125,9 @@ _cache: dict[int, list[Graph]] = {}
 def connected_multigraphs(max_edges: int) -> list[Graph]:
     """All connected multigraphs with at most ``max_edges`` edges, one
     representative per isomorphism class, ordered by edge count.  The
-    bound is checked by ``errors.require_bound``, and one above
+    bound is checked by ``errors.require_count``, and one above
     ``MAX_CORPUS_EDGES`` is refused with ``CapacityError``."""
-    errors.require_bound("edge bound", max_edges)
+    errors.require_count("edge bound", max_edges)
     if max_edges > errors.MAX_CORPUS_EDGES:
         raise CapacityError(
             f"corpus of {max_edges} edges requested; at most "

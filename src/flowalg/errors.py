@@ -55,3 +55,10 @@ def require_bound(name: str, value) -> None:
         raise InputError(f"{name} {value!r} is not an int or a Fraction")
     if value < 0:
         raise InputError(f"{name} {value} is negative")
+
+
+def require_count(name: str, value) -> None:
+    """Refuse a count that is not an int, or is negative."""
+    if not isinstance(value, int):
+        raise InputError(f"{name} {value!r} is not an int")
+    require_bound(name, value)

@@ -111,9 +111,11 @@ def _projection(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``min_norm_affine`` of the incidence matrix of g, grounded at its
     roots (``Graph.grounded_incidence``; the rows of a component sum to
     zero, so the flow space is the same): den times the projection onto the
-    flow space, one row per edge position.  The grounded Laplacian is
-    nonsingular.  The projection of the last graph is kept, so the edges,
-    both directions and the coset system of one graph share one solve."""
+    flow space, one row per edge position, in lowest terms.  The grounded
+    rows are independent, so the solve is one Bareiss elimination of a
+    Laplacian-sized Gram system.  The projection of the last graph is kept,
+    so the edges, both directions and the coset system of one graph share
+    one solve."""
     return min_norm_affine(g.grounded_incidence(), g.num_edges)
 
 
@@ -149,11 +151,12 @@ def characteristic_flow(g: Graph, eid: int, direction: int = 1
     fraction-free integer solve of the Laplacian system for all edges, is
     an integer multiple of that projection, so chi = u / u_e.
 
-    Raises ``InputError`` for cut-edges, where every flow vanishes on the
-    edge and the constraint is infeasible.
+    Raises ``InputError`` for a direction other than the int 1 or -1, and
+    for cut-edges, where every flow vanishes on the edge and the constraint
+    is infeasible.
     """
-    if direction not in (1, -1):
-        raise InputError("direction must be +1 or -1")
+    if not isinstance(direction, int) or direction not in (1, -1):
+        raise InputError(f"direction {direction!r} is not the int 1 or -1")
     if g.is_cut_edge(eid):
         raise InputError(
             f"edge {eid} is a cut-edge: the flow space forces value 0 on it")

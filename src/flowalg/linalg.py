@@ -3,11 +3,11 @@
 Everything here is exact: matrices hold Python ints or ``Fraction``s and no
 floating point enters any code path.  The eliminations work on sparse rows
 (dicts column -> value), because relation matrices of a few hundred rows
-are mostly zeros; the small square routines, the determinant and the
-short-vector search over a Gram matrix, are dense and share one Bareiss
-elimination.  The relation matrices and the monomial evaluation matrices
-are ranked by :func:`rank_int_rows`, a row-by-row echelon reduction in
-integers.  One integer lattice reduction, the row Hermite form of
+are mostly zeros; the small square systems, of the determinant, the
+short-vector search over a Gram matrix and the kernel projection, are dense
+and share one Bareiss elimination.  The relation matrices and the monomial
+evaluation matrices are ranked by :func:`rank_int_rows`, a row-by-row
+echelon reduction in integers.  One integer lattice reduction, the row Hermite form of
 :func:`hermite_rows`, a unimodular row-by-row triangular pass and then its
 normalisation, gives both the integer kernels and the Smith invariant
 factors (alternating row Hermite forms); they take and return sparse rows.
@@ -17,11 +17,10 @@ any integer, such as the subset mask that names a column of a relation
 matrix, and columns are ordered by their value.
 
 Minimum-norm points come from the orthogonal projection onto a kernel, for
-every coordinate at once: one fraction-free integer solve of the Gram
-system mat mat^T with all columns of mat as right-hand sides gives the
-projection as an integer matrix over one denominator; on a grounded
-incidence matrix, without the row of one vertex per component, the Gram
-system is the nonsingular grounded Laplacian (see :func:`min_norm_affine`).
+every coordinate at once: the echelon reduction picks independent rows B
+with the row space of mat, and one Bareiss elimination of the Gram system
+B B^T, carrying B as right-hand sides, gives the projection as an integer
+matrix over one denominator (see :func:`min_norm_affine`).
 """
 
 from __future__ import annotations
@@ -39,57 +38,44 @@ from .errors import InputError, require_bound
 def min_norm_affine(mat, ncols: int
                     ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The orthogonal projection P onto ker(mat), for an integer matrix
-    ``mat`` with ``ncols`` columns, as ``(den, u)``: ``den > 0`` and, for
-    every coordinate i, ``u[i] = den * P e_i``, an integer vector.
+    ``mat`` with ``ncols`` columns, as ``(den, u)`` in lowest terms:
+    ``den > 0`` and, for every coordinate i, ``u[i] = den * P e_i``, an
+    integer vector.
 
     It gives the minimum-norm point of ``{x : mat @ x = 0, x[i] = value}``
     for every i at once: that point is value * u[i] / u[i][i], because
     |P e_i|^2 = (P e_i)_i; when u[i][i] = 0, every point of ker(mat)
-    vanishes at i and only value 0 is feasible.  P = I - mat^T Y for any Y
-    with (mat mat^T) Y = mat: the system is always consistent and mat^T Y
-    does not depend on the choice of Y, so the free variables are set to 0.
-    For an incidence matrix, mat mat^T is the graph Laplacian and each
-    column of Y a vertex potential.
+    vanishes at i and only value 0 is feasible.  P depends on the row space
+    alone, so the solve runs on the pivot rows B of :func:`_echelon`,
+    independent rows with the row space of mat: P = I - B^T (B B^T)^-1 B.
 
-    The solve is one fraction-free elimination: the rows of
-    [mat mat^T | mat] are reduced one by one to an integer echelon form by
-    :func:`_echelon`, and back-substitution keeps Y = Y_num / den over one
-    common denominator for all ``ncols`` right-hand sides.  So
-    u = den I - mat^T Y_num, a symmetric integer matrix.
+    One :func:`_bareiss` of [B B^T | B], positive definite on the left so
+    without swaps, ends with d = det(B B^T) as its last pivot; fraction-free
+    back-substitution gives X = d (B B^T)^-1 B in integers (Cramer's rule),
+    so d P = d I - B^T X, a symmetric integer matrix, and dividing out the
+    gcd of d and its entries gives (den, u).
     """
-    r = len(mat)
-    pivots = _echelon(
-        {c: v for c, v in enumerate([sum(map(mul, r1, r2)) for r2 in mat]
-                                    + list(r1)) if v}
-        for r1 in mat)
-    y = [[0] * ncols for _ in range(r)]
-    den = 1
-    # the system is consistent, so every pivot lies in the Gram block
-    for p in sorted(pivots, reverse=True):
-        piv = pivots[p]
-        s = [piv.get(r + c, 0) * den for c in range(ncols)]
-        for k, v in piv.items():
-            if p < k < r:
-                s = [a - v * b for a, b in zip(s, y[k])]
-        # y_p = s / (piv[p] den): scale Y to the common denominator piv[p] den
-        y = [[x * piv[p] for x in row] for row in y]
-        den *= piv[p]
-        y[p] = s
-        g = gcd(den, *(x for row in y for x in row))
-        if g > 1:
-            y = [[x // g for x in row] for row in y]
-            den //= g
-    if den < 0:
-        den, y = -den, [[-x for x in row] for row in y]
-    # u[i][c] = den [c = i] - sum_k y[k][i] mat[k][c]
-    u = [[den * (c == i) for c in range(ncols)] for i in range(ncols)]
-    for yk, row in zip(y, mat):
-        for c, a in enumerate(row):
+    basis = [[row.get(c, 0) for c in range(ncols)] for row in _echelon(
+        {c: v for c, v in enumerate(row) if v} for row in mat).values()]
+    r = len(basis)
+    m, _ = _bareiss([[sum(map(mul, a, b)) for b in basis] + a
+                     for a in basis])
+    d = m[-1][r - 1] if r else 1
+    x = [None] * r
+    for i in reversed(range(r)):
+        s = [d * v for v in m[i][r:]]
+        for j in range(i + 1, r):
+            if m[i][j]:
+                s = [a - m[i][j] * b for a, b in zip(s, x[j])]
+        x[i] = [a // m[i][i] for a in s]
+    # u[c][i] = d [c = i] - sum_k B[k][c] X[k][i]
+    u = [[d * (c == i) for i in range(ncols)] for c in range(ncols)]
+    for b, xk in zip(basis, x):
+        for c, a in enumerate(b):
             if a:
-                for i, b in enumerate(yk):
-                    if b:
-                        u[i][c] -= a * b
-    return den, tuple(map(tuple, u))
+                u[c] = [p - a * q for p, q in zip(u[c], xk)]
+    g = gcd(d, *(v for row in u for v in row))
+    return d // g, tuple(tuple(v // g for v in row) for row in u)
 
 
 # -- sparse fraction-free integer rank ------------------------------------
@@ -114,13 +100,14 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     is divided by the gcd of its entries and becomes that column's pivot
     row.  The input rows are copied, not changed.
 
-    :func:`rank_int_rows` and :func:`min_norm_affine` keep this reduction
-    beside the unimodular :func:`_triangular`, measured on 2 CPUs with
-    Python 3.11.7: ranking by ``len(_triangular(rows))`` gives the same
-    ranks, and takes the K6-e monomial ranks from 9.4 s to 5.5 s, but
-    ``multiplication_rank_check`` on ``fig1_left`` did not finish in 300 s
-    (0.09-0.16 s with this reduction), nor on ``fig1_right`` in 120 s with
-    every row first divided by its content.
+    :func:`rank_int_rows` counts these rows and :func:`min_norm_affine`
+    solves on them.  The ranks keep this reduction beside the unimodular
+    :func:`_triangular`, measured on 2 CPUs with Python 3.11.7: ranking by
+    ``len(_triangular(rows))`` gives the same ranks, and takes the K6-e
+    monomial ranks from 9.4 s to 5.5 s, but ``multiplication_rank_check``
+    on ``fig1_left`` did not finish in 300 s (0.09-0.16 s with this
+    reduction), nor on ``fig1_right`` in 120 s with every row first divided
+    by its content.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -159,13 +146,14 @@ def det_int(mat: list[list[int]]) -> int:
 
 
 def _bareiss(mat) -> tuple[list[list[int]], int]:
-    """Bareiss's fraction-free elimination of a square integer matrix, as
-    ``(m, swaps)`` with m upper triangular.  Without row swaps, m[k][k] is
-    the leading (k+1) x (k+1) minor and m[k][j] (j > k) the minor on rows
-    0..k and columns 0..k-1, j.  A zero pivot's row is swapped with the
-    first row below that is nonzero in its column, and ``swaps`` counts
-    these; with no such row the matrix is singular, and the elimination
-    stops with the zero on the diagonal."""
+    """Bareiss's fraction-free elimination of an integer matrix of n rows,
+    as ``(m, swaps)`` with the square block of the first n columns of m
+    upper triangular; further columns, right-hand sides, are carried along.
+    Without row swaps, m[k][k] is the leading (k+1) x (k+1) minor and
+    m[k][j] (j > k) the minor on rows 0..k and columns 0..k-1, j.  A zero
+    pivot's row is swapped with the first row below that is nonzero in its
+    column, and ``swaps`` counts these; with no such row the square block
+    is singular, and the elimination stops with the zero on the diagonal."""
     n = len(mat)
     m = [list(row) for row in mat]
     swaps = 0
@@ -178,7 +166,7 @@ def _bareiss(mat) -> tuple[list[list[int]], int]:
             m[k], m[pr] = m[pr], m[k]
             swaps += 1
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]

@@ -26,7 +26,8 @@ import threading
 from .circulation import (Circulation, ZZ, _poly_mul, basic_flow_circulations,
                           monomial_dimensions, relation_membership_check,
                           verify_inequalities)
-from .errors import CheckError, FlowAlgError, InputError, require_bound
+from .errors import (CheckError, FlowAlgError, InputError, require_bound,
+                     require_count)
 from .graph import (Graph, build, cycle_graph, dipole_graph, disjoint_union,
                     one_point_union)
 from .lattice import (_dot, characteristic_flow, lattice, theta_enumerate,
@@ -66,13 +67,13 @@ def verify_graph(g: Graph, theta_bound=12, trials: int = 0,
     """Run the full identity and inequality suite on one graph.  A graph
     with no vertex (the one-point-union check needs a vertex to glue at)
     raises ``InputError``, the theta bound and then the trial count are
-    refused as ``errors.require_bound`` says, and a coset system over
-    ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``, before any
+    refused by ``require_bound`` and ``require_count``, and a coset system
+    over ``MAX_COSET_REPRESENTATIVES`` raises ``CapacityError``, before any
     check runs."""
     if not g.vertices:
         raise InputError("verify needs a graph with at least one vertex")
     require_bound("theta bound", theta_bound)
-    require_bound("trial count", trials)
+    require_count("trial count", trials)
     # the theta product comes first, so that a coset system over its
     # ceiling is refused (CapacityError) before any other work is done
     try:
@@ -209,10 +210,10 @@ def orientation_invariance(g: Graph, trials: int, seed: int = _SEED,
     A trial whose re-oriented copy equals one already checked (the same
     flips, or flips that differ only on loops) is not run again: every
     stage is a deterministic function of the graph, so it would repeat the
-    same answer.  The theta bound and then the trial count are refused as
-    ``errors.require_bound`` says, before any trial runs."""
+    same answer.  The theta bound and then the trial count are refused by
+    ``require_bound`` and ``require_count``, before any trial runs."""
     require_bound("theta bound", theta_bound)
-    require_bound("trial count", trials)
+    require_count("trial count", trials)
     ref_p = trimmed(poincare(g))
     ref_d = rank_sequence(g)
     ref = _class_table(g)  # the table rank_sequence has just ranked
@@ -278,8 +279,8 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
 
     Returns the results of ``flowalg corpus``: graph count, check count, and
     the failures (graph edge list plus check name), exploratory ones apart.
-    The theta bound and then the trial count are refused as
-    ``errors.require_bound`` says, before the corpus is generated.
+    The theta bound and then the trial count are refused by
+    ``require_bound`` and ``require_count``, before the corpus is generated.
 
     The graphs are verified on every CPU the process may use (see
     ``_verify_shares``).  The results, and the error raised when a graph
@@ -288,7 +289,7 @@ def run_corpus(max_edges: int, theta_bound=12, trials: int = 0,
     from .corpus import connected_multigraphs
 
     require_bound("theta bound", theta_bound)
-    require_bound("trial count", trials)
+    require_count("trial count", trials)
     graphs = connected_multigraphs(max_edges)
     args = (theta_bound, trials, deep)
     outcomes = _verify_shares(graphs, _worker_count(len(graphs)), args)

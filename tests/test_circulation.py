@@ -1,5 +1,6 @@
 import importlib
 import operator
+import re
 from fractions import Fraction
 from math import comb
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import flowalg.errors as errors
 from flowalg.circulation import (GF, QQ, ZZ, Circulation, divided_power,
-                                 exponential, monomial_dimensions, nilpotence,
-                                 pseudopower, relation_membership_check,
+                                 exponential, macaulay_representation,
+                                 monomial_dimensions, nilpotence, pseudopower,
+                                 relation_membership_check,
                                  verify_inequalities)
 from flowalg.errors import CapacityError, CheckError, InputError
 from flowalg.graph import (bouquet_graph, build, complete_graph, cycle_graph,
@@ -37,6 +39,20 @@ def test_singleton_products_concatenate():
 def test_ring_mismatch_rejected():
     with pytest.raises(InputError):
         Circulation(ZZ, {0b1: 1}) * Circulation(QQ, {0b1: 1})
+    with pytest.raises(InputError, match="^ring mismatch: Z vs F5$"):
+        Circulation(ZZ, {0b1: 1}) - Circulation(GF(5), {0b1: 1})
+
+
+@pytest.mark.parametrize("ring, a, b, diff", [
+    (ZZ, {1: 3, 2: 1}, {1: 3, 4: 2}, {2: 1, 4: -2}),
+    (QQ, {1: Fraction(1, 2)}, {1: Fraction(1, 3), 2: 1},
+     {1: Fraction(1, 6), 2: -1}),
+    (GF(5), {1: 1, 2: 4}, {1: 3, 2: 4}, {1: 3}),
+], ids=["Z", "Q", "F5"])
+def test_subtraction_adds_the_negation(ring, a, b, diff):
+    x, y = Circulation(ring, a), Circulation(ring, b)
+    assert x - y == Circulation(ring, diff) == x + y.scale(-1)
+    assert (x - y) + y == x and (x - x).is_zero()
 
 
 def test_divided_power_binomial_on_cycle():
@@ -138,6 +154,20 @@ def test_pseudopower_values():
         pseudopower(-1, 1)
     with pytest.raises(InputError):
         pseudopower(3, 0)
+
+
+@pytest.mark.parametrize("a, j, words", [
+    (2.5, 2, "Macaulay value 2.5 is not an int"),
+    (Fraction(4), 2, "Macaulay value Fraction(4, 1) is not an int"),
+    (-1, 2, "Macaulay value -1 is negative"),
+    (4, 2.0, "Macaulay degree 2.0 is not a positive int"),
+    (4, 0, "Macaulay degree 0 is not a positive int"),
+], ids=["float-value", "fraction-value", "negative-value", "float-degree",
+        "zero-degree"])
+def test_macaulay_takes_only_ints(a, j, words):
+    for call in (macaulay_representation, pseudopower):
+        with pytest.raises(InputError, match=f"^{re.escape(words)}$"):
+            call(a, j)
 
 
 def test_relation_membership_cycle():

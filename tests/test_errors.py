@@ -1,11 +1,13 @@
 """Every public function that takes a bound refuses a bad one through
-``errors.require_bound``, in the same words."""
+``errors.require_bound``, and every one that takes a count through
+``errors.require_count``, in the same words."""
 
 import re
 from fractions import Fraction
 
 import pytest
 
+import flowalg.corpus as corpus_mod
 from flowalg.corpus import connected_multigraphs
 from flowalg.errors import InputError
 from flowalg.graph import cycle_graph
@@ -45,17 +47,31 @@ IDS = ["theta_product", "theta_enumerate", "flows_of_norm",
        "run_corpus-trials", "connected_multigraphs"]
 
 
-@pytest.mark.parametrize("value, words", [
-    (-1, "-1 is negative"),
-    (Fraction(-1, 2), "-1/2 is negative"),
-    (2.5, "2.5 is not an int or a Fraction"),
-    ("3", "'3' is not an int or a Fraction"),
+# (a bad value, the words for a rational bound, the words for a count)
+@pytest.mark.parametrize("value, words, count_words", [
+    (-1, "-1 is negative", "-1 is negative"),
+    (Fraction(-1, 2), "-1/2 is negative", "Fraction(-1, 2) is not an int"),
+    (2.5, "2.5 is not an int or a Fraction", "2.5 is not an int"),
+    ("3", "'3' is not an int or a Fraction", "'3' is not an int"),
 ], ids=["negative", "negative-fraction", "float", "string"])
 @pytest.mark.parametrize("name, call", RATIONAL_BOUNDS + COUNTS, ids=IDS)
-def test_every_bound_is_refused_in_the_same_words(name, call, value, words):
+def test_every_bound_is_refused_in_the_same_words(name, call, value, words,
+                                                  count_words):
+    if (name, call) in COUNTS:
+        words = count_words
     with pytest.raises(InputError, match=f"^{re.escape(name)} "
                                          f"{re.escape(words)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("name, call", COUNTS,
+                         ids=IDS[len(RATIONAL_BOUNDS):])
+def test_an_integral_fraction_count_is_refused(name, call, monkeypatch):
+    # with no corpus cached, as before a first corpus run
+    monkeypatch.setattr(corpus_mod, "_cache", {})
+    with pytest.raises(InputError,
+                       match=f"^{name} Fraction\\(2, 1\\) is not an int$"):
+        call(Fraction(2))
 
 
 @pytest.mark.parametrize("name, call", RATIONAL_BOUNDS,

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
@@ -51,6 +52,13 @@ def test_characteristic_flow_k4():
 def test_characteristic_flow_cut_edge_rejected():
     with pytest.raises(InputError):
         characteristic_flow(path_graph(3), 1)
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0, 2, 0, Fraction(1)])
+def test_characteristic_flow_takes_only_the_int_directions(direction):
+    words = f"direction {direction!r} is not the int 1 or -1"
+    with pytest.raises(InputError, match=f"^{re.escape(words)}$"):
+        characteristic_flow(complete_graph(4), 1, direction)
 
 
 def test_characteristic_flow_reversal_negates():

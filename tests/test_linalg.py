@@ -279,12 +279,13 @@ def test_min_norm_orthogonality_property(mat):
     integer vector den P e_i: it lies in ker(mat), and u_i - den e_i is
     orthogonal to ker(mat), so <u_i, k> = den k_i for every kernel vector
     k.  So u_i is the multiple of P e_i that its name says, and u is
-    symmetric."""
+    symmetric, and (den, u) is in lowest terms."""
     ncols = len(mat[0]) if mat else 3
     cols = range(ncols)
     kernel = to_dense(integer_kernel_basis(sparse(mat), cols), cols)
     den, u = min_norm_affine(mat, ncols)
     assert den > 0
+    assert gcd(den, *(x for ui in u for x in ui)) == 1
     assert len(u) == ncols
     for i, ui in enumerate(u):
         assert all(type(x) is int for x in ui)
@@ -325,18 +326,21 @@ def test_min_norm_affine_matches_rational_solve(data):
 
 def test_min_norm_affine_matches_rational_solve_on_graphs(graph_dir):
     """Every edge of the sample graphs and of K6 plus an edge parallel to
-    1-2 (16 edges), where the Laplacian solve grows its coefficients;
-    cut-edges are infeasible."""
+    1-2 (16 edges), where the Laplacian solve grows its coefficients, on
+    the full and on the grounded incidence rows; cut-edges are
+    infeasible."""
     k6e = complete_graph(6)
     k6e = build(k6e.edges + ((16, 1, 2),))
     graphs = [parse_graph(str(p)) for p in sorted(graph_dir.glob("*.g"))]
     feasible = 0
     for g in graphs + [k6e]:
-        mat = [list(g.incidence_row(v)) for v in g.vertices]
-        for i in range(g.num_edges):
-            for value in (1, -1, F(2, 3)):
-                feasible += _same_min_norm_point(mat, i, value, g.num_edges)
-    assert feasible == 3 * sum(g.num_edges - len(g.cut_edges)
+        for mat in ([list(g.incidence_row(v)) for v in g.vertices],
+                    g.grounded_incidence()):
+            for i in range(g.num_edges):
+                for value in (1, -1, F(2, 3)):
+                    feasible += _same_min_norm_point(mat, i, value,
+                                                     g.num_edges)
+    assert feasible == 6 * sum(g.num_edges - len(g.cut_edges)
                                for g in graphs + [k6e])
 
 

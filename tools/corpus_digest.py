@@ -13,6 +13,12 @@ sort_keys=True)``, the results of ``flowalg corpus --max-edges 7``, so two
 trees that print it alike give the same corpus report however the runner
 shares the graphs out among processes.
 
+A third line gives the SHA-256 of the projections
+``min_norm_affine(g.grounded_incidence(), g.num_edges)``, one JSON line per
+graph in the corpus's order, so a change to the solve behind
+``lattice._projection`` can show that it gives the same (den, u) byte for
+byte.
+
 Run from a checkout; it takes about 30 s on a 2-CPU machine, as
 ``run_corpus`` finds the Tutte memo already warm.  The committed output,
 ``corpus_digest.out``, is that of:
@@ -26,6 +32,7 @@ import hashlib
 import json
 
 from flowalg.corpus import connected_multigraphs
+from flowalg.linalg import min_norm_affine
 from flowalg.verify import orientation_invariance, run_corpus, verify_graph
 
 MAX_EDGES = 7
@@ -47,6 +54,12 @@ def main() -> None:
     results = json.dumps(run_corpus(MAX_EDGES), sort_keys=True)
     print(f"corpus {MAX_EDGES}: run_corpus({MAX_EDGES}) results: sha256 "
           f"{hashlib.sha256(results.encode()).hexdigest()}")
+    digest = hashlib.sha256()
+    for g in graphs:
+        proj = min_norm_affine(g.grounded_incidence(), g.num_edges)
+        digest.update(json.dumps(proj).encode() + b"\n")
+    print(f"corpus {MAX_EDGES}: min_norm_affine(g.grounded_incidence(), "
+          f"g.num_edges): sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
