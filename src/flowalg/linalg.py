@@ -7,14 +7,14 @@ are mostly zeros; the small square systems, of the determinant, the
 short-vector search over a Gram matrix and the kernel projection, are dense
 and share one Bareiss elimination.  The relation matrices and the monomial
 evaluation matrices are ranked by :func:`rank_int_rows`, a row-by-row
-echelon reduction in integers.  One integer lattice reduction, the row Hermite form of
-:func:`hermite_rows`, a unimodular row-by-row triangular pass and then its
-normalisation, gives both the integer kernels and the Smith invariant
-factors (alternating row Hermite forms); they take and return sparse rows.
-The Smith form returns after a triangular pass whose pivots are all +-1,
-which proves every factor is 1, without normalising it.  A column may be
-any integer, such as the subset mask that names a column of a relation
-matrix, and columns are ordered by their value.
+echelon reduction in integers.  One integer lattice reduction, the row
+Hermite form of :func:`hermite_rows`, a unimodular row-by-row triangular
+pass and then its normalisation, gives both the integer kernels and the
+Smith invariant factors (alternating row Hermite forms); they take and
+return sparse rows.  The Smith form returns after a triangular pass whose
+pivots are all +-1, which proves every factor is 1, without normalising
+it.  A column may be any integer, such as the subset mask that names a
+column of a relation matrix, and columns are ordered by their value.
 
 Minimum-norm points come from the orthogonal projection onto a kernel, for
 every coordinate at once: the echelon reduction picks independent rows B
